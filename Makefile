@@ -5,13 +5,13 @@ GO ?= go
 # `staticcheck` is on PATH and skips with an install hint otherwise.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: check fmt vet staticcheck print-staticcheck-version build test race bench docs-check demo chaos fuzz-short cover-resultstore
+.PHONY: check fmt vet staticcheck print-staticcheck-version build test race bench docs-check demo chaos fuzz-short cover-resultstore fleetbench-check
 
 # The full tier-1 gate: formatting, vet, staticcheck, build, tests
 # (race-enabled — the scheduler/simd coalescing paths are explicitly
 # concurrent), docs, a deterministic fuzz pass over segment replay, and
-# the result-store coverage floor.
-check: fmt vet staticcheck build race docs-check fuzz-short cover-resultstore
+# the result-store coverage floor, and the fleet benchmark's own module.
+check: fmt vet staticcheck build race docs-check fuzz-short cover-resultstore fleetbench-check
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -108,6 +108,14 @@ cover-resultstore:
 	echo "pkg/resultstore coverage: $$total% (floor $(RESULTSTORE_COVER_MIN)%)"; \
 	awk "BEGIN{exit !($$total >= $(RESULTSTORE_COVER_MIN))}" || { \
 		echo "cover-resultstore: coverage $$total% is below the $(RESULTSTORE_COVER_MIN)% floor"; exit 1; }
+
+# The fleet benchmark is a nested module built against this one through
+# a replace directive, so the root `go test ./...` never compiles it.
+# Vet and test it the way fleetbench/run.sh builds it, so a public-API
+# change that breaks the benchmark fails here.
+FLEETBENCH_ENV = GOWORK=off GOFLAGS= GOTOOLCHAIN=local
+fleetbench-check:
+	cd fleetbench && $(FLEETBENCH_ENV) $(GO) vet ./... && $(FLEETBENCH_ENV) $(GO) test ./...
 
 # Seeded chaos integration suite: a simd fleet behind fault-injecting
 # proxies (latency spikes, injected 500s, a flapping backend) driven

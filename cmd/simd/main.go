@@ -52,13 +52,13 @@
 //
 // Store backends (-store):
 //
-//	memory         in-process LRU of -cache entries; dies with the process (default)
+//	memory         in-process SIEVE cache of -cache entries; dies with the process (default)
 //	disk           crash-safe segment files under -store-dir; survives restarts
-//	tiered         memory LRU in front of the disk store, write-through — the
+//	tiered         memory SIEVE in front of the disk store, write-through — the
 //	               hot set answers from RAM, everything survives a restart
 //	remote         shared memcached tier at -remote-servers; replicas on
 //	               different machines serve each other's results
-//	tiered-remote  memory LRU in front of the remote tier — the production
+//	tiered-remote  memory SIEVE in front of the remote tier — the production
 //	               fleet shape: hot set in RAM, shared tier across machines,
 //	               and an unreachable remote degrades to local serving
 //

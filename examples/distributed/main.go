@@ -159,9 +159,9 @@ func main() {
 		frontendsim.WithMeasureOps(100_000),
 	}
 
-	// The shared result store: a memory LRU in front of crash-safe disk
-	// segments.  Every backend reads and writes the same store, so any
-	// replica can serve any other replica's results.
+	// The shared result store: a memory SIEVE cache in front of
+	// crash-safe disk segments.  Every backend reads and writes the same
+	// store, so any replica can serve any other replica's results.
 	dir, err := os.MkdirTemp("", "resultstore-demo-")
 	if err != nil {
 		fatal(err)

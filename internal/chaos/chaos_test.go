@@ -5,9 +5,9 @@
 // 500s and a flapping backend; correct PARTIAL-ERROR accounting in
 // degraded mode; passive breaker + quarantine before any probe round;
 // and 503 + Retry-After shedding from a saturated backend.  All fault
-// draws come from seeded PRNGs, and every suite is built from the ring's
-// actual key assignment, so the scenarios do not depend on port numbers
-// or timing luck.
+// draws come from seeded PRNGs, the ring hashes fixed logical node URLs,
+// and every suite is built from the ring's actual key assignment, so the
+// scenarios do not depend on port numbers or timing luck.
 package chaos
 
 import (
@@ -15,6 +15,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -42,14 +43,16 @@ func engineOpts() []frontendsim.Option {
 }
 
 // node is one fleet member: a real simd backend reachable only through
-// its fault-injecting proxy.
+// its fault-injecting proxy, under a fixed logical URL.
 type node struct {
-	inj      *faultinject.Injector
-	proxyURL string
+	inj  *faultinject.Injector
+	url  string // logical base URL, the name the ring hashes
+	addr string // the proxy's listener, where fleetClient dials url
 }
 
 // newFleet builds n simd backends, each behind a faultinject proxy
-// seeded with seed+i.  Schedulers must route to the proxy URLs.
+// seeded with seed+i.  Schedulers must route to the nodes' logical URLs
+// through fleetClient.
 func newFleet(t *testing.T, n int, seed int64) []*node {
 	t.Helper()
 	fleet := make([]*node, n)
@@ -59,7 +62,11 @@ func newFleet(t *testing.T, n int, seed int64) []*node {
 		inj := faultinject.New(seed + int64(i))
 		proxy := httptest.NewServer(faultinject.NewProxy(backend.URL, inj, nil))
 		t.Cleanup(proxy.Close)
-		fleet[i] = &node{inj: inj, proxyURL: proxy.URL}
+		fleet[i] = &node{
+			inj:  inj,
+			url:  fmt.Sprintf("http://sim-%d:8723", i+1),
+			addr: proxy.Listener.Addr().String(),
+		}
 	}
 	return fleet
 }
@@ -67,9 +74,30 @@ func newFleet(t *testing.T, n int, seed int64) []*node {
 func fleetURLs(fleet []*node) []string {
 	urls := make([]string, len(fleet))
 	for i, n := range fleet {
-		urls[i] = n.proxyURL
+		urls[i] = n.url
 	}
 	return urls
+}
+
+// fleetClient is the scheduler's backend client: it dials each node's
+// logical host at its proxy listener.  The ring hashes the fixed names,
+// not ephemeral ports, so every run homes the same benchmarks on the
+// same node.
+func fleetClient(t *testing.T, fleet []*node) *http.Client {
+	addrs := map[string]string{}
+	for _, n := range fleet {
+		addrs[strings.TrimPrefix(n.url, "http://")] = n.addr
+	}
+	var dialer net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		real, ok := addrs[addr]
+		if !ok {
+			return nil, fmt.Errorf("chaos: no node named %q", addr)
+		}
+		return dialer.DialContext(ctx, network, real)
+	}}
+	t.Cleanup(tr.CloseIdleConnections)
+	return &http.Client{Transport: tr}
 }
 
 // homedOn returns the benchmarks whose ring home is url, using the
@@ -129,6 +157,7 @@ func TestChaosStrictModeZeroClientErrors(t *testing.T) {
 	reg := obs.NewRegistry()
 	sched, err := scheduler.New(eng, scheduler.Config{
 		Backends:     fleetURLs(fleet),
+		HTTPClient:   fleetClient(t, fleet),
 		RetryBackoff: time.Millisecond,
 		Metrics:      reg,
 	})
@@ -151,9 +180,9 @@ func TestChaosStrictModeZeroClientErrors(t *testing.T) {
 	// path), plus a handful of bulk benchmarks.
 	var picked []string
 	for _, n := range fleet {
-		homed := homedOn(t, sched, eng, n.proxyURL)
+		homed := homedOn(t, sched, eng, n.url)
 		if len(homed) < 2 {
-			t.Fatalf("only %d benchmarks homed on %s; need 2", len(homed), n.proxyURL)
+			t.Fatalf("only %d benchmarks homed on %s; need 2", len(homed), n.url)
 		}
 		picked = append(picked, homed[:2]...)
 	}
@@ -219,6 +248,7 @@ func TestChaosPartialErrorDegradedMode(t *testing.T) {
 	reg := obs.NewRegistry()
 	sched, err := scheduler.New(eng, scheduler.Config{
 		Backends:       fleetURLs(fleet),
+		HTTPClient:     fleetClient(t, fleet),
 		RetryBackoff:   time.Millisecond,
 		PartialResults: true,
 		Metrics:        reg,
@@ -295,6 +325,7 @@ func TestChaosBreakerQuarantinesBeforeProbeRound(t *testing.T) {
 	var members *membership.Registry
 	sched, err := scheduler.New(eng, scheduler.Config{
 		Backends:         fleetURLs(fleet),
+		HTTPClient:       fleetClient(t, fleet),
 		RetryBackoff:     time.Millisecond,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Hour,
@@ -316,7 +347,7 @@ func TestChaosBreakerQuarantinesBeforeProbeRound(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	onDead := homedOn(t, sched, eng, fleet[0].proxyURL)
+	onDead := homedOn(t, sched, eng, fleet[0].url)
 	if len(onDead) < 2 {
 		t.Fatalf("only %d benchmarks homed on the dead node; need 2", len(onDead))
 	}
@@ -336,7 +367,7 @@ func TestChaosBreakerQuarantinesBeforeProbeRound(t *testing.T) {
 		t.Fatalf("active members = %v, want the 2 healthy nodes", active)
 	}
 	for _, url := range active {
-		if url == fleet[0].proxyURL {
+		if url == fleet[0].url {
 			t.Fatal("dead node still active")
 		}
 	}

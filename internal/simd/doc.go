@@ -7,8 +7,8 @@
 // same entry).
 //
 // The store is injected via NewServerWithStore: a memory store gives
-// the original process-local LRU behavior, a disk or tiered store makes
-// cached results survive restarts, and a store shared between replicas
-// (see examples/distributed) lets a surviving backend serve a dead
-// peer's keys after ring failover.
+// the original process-local cache (SIEVE eviction), a disk or tiered
+// store makes cached results survive restarts, and a store shared
+// between replicas (see examples/distributed) lets a surviving backend
+// serve a dead peer's keys after ring failover.
 package simd

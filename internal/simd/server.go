@@ -131,7 +131,7 @@ func WithPartialResults() Option {
 	return func(s *Server) { s.partial = true }
 }
 
-// NewServer builds a Server over eng with an in-memory LRU response
+// NewServer builds a Server over eng with an in-memory SIEVE response
 // store of cacheSize entries (cacheSize < 1 disables caching).  At most
 // eng.Workers() simulations run concurrently.
 func NewServer(eng *frontendsim.Engine, cacheSize int, opts ...Option) *Server {
@@ -422,9 +422,14 @@ func (s *Server) simulate(ctx context.Context, key string, req frontendsim.Reque
 	return body, "MISS", nil
 }
 
+// errCorruptEntry answers a stored body that is not JSON.  It carries the
+// suite path's "decode cached result" text and, like it, maps to 500, so
+// the scheduler fails over instead of forwarding garbage with a 200.
+var errCorruptEntry = errors.New("simd: decode cached result: stored body is not valid JSON")
+
 // handleSimulate runs one simulation, serving repeats of the same
-// canonical request from the LRU cache and single-flighting concurrent
-// identical requests onto one engine run.
+// canonical request from the response store and single-flighting
+// concurrent identical requests onto one engine run.
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	req, err := s.decodeRequest(w, r)
 	if err != nil {
@@ -439,6 +444,9 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := requestContext(r)
 	defer cancel()
 	body, source, err := s.simulate(ctx, key, req)
+	if err == nil && !json.Valid(body) {
+		err = errCorruptEntry
+	}
 	if err != nil {
 		writeRunError(w, err)
 		return

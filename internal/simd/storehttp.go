@@ -132,7 +132,7 @@ func (s *Server) handleStoreDigest(w http.ResponseWriter, r *http.Request) {
 
 // handleStoreGetEntry serves one stored response body verbatim.  The
 // read is a Peek: repair traffic stays out of the hit/miss counters and
-// does not disturb LRU recency.
+// does not set SIEVE's visited bit.
 func (s *Server) handleStoreGetEntry(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if err := storeKeyError(key); err != nil {

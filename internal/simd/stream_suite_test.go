@@ -138,9 +138,10 @@ func (s lyingStore) Get(ctx context.Context, key string) ([]byte, bool, error) {
 }
 
 // TestInternalFaultIs500 pins the statusFor fix: a server-side failure
-// on a valid request (here, a corrupt store entry feeding the suite
-// path) must surface as 500, not 400 — the scheduler's retry
-// classifier treats 4xx as permanent and would refuse to fail over.
+// on a valid request (here, a corrupt store entry) must surface as 500,
+// not 400 — the scheduler's retry classifier treats 4xx as permanent and
+// would refuse to fail over.  The single-simulation path, which serves
+// stored bodies verbatim, must not answer the corrupt entry with a 200.
 func TestInternalFaultIs500(t *testing.T) {
 	eng := frontendsim.New(
 		frontendsim.WithWarmupOps(30_000),
@@ -148,13 +149,18 @@ func TestInternalFaultIs500(t *testing.T) {
 	)
 	srv := NewServerWithStore(eng, lyingStore{resultstore.NewMemory(4)})
 
-	w := post(t, srv, "/v1/suites", `{"benchmarks":["gzip"]}`)
-	if w.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500 (body %s)", w.Code, w.Body.String())
-	}
-	var e apiError
-	if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "decode cached result") {
-		t.Errorf("error body %q", w.Body.String())
+	for path, body := range map[string]string{
+		"/v1/suites":      `{"benchmarks":["gzip"]}`,
+		"/v1/simulations": `{"benchmark":"gzip"}`,
+	} {
+		w := post(t, srv, path, body)
+		if w.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: status = %d, want 500 (body %s)", path, w.Code, w.Body.String())
+		}
+		var e apiError
+		if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || !strings.Contains(e.Error, "decode cached result") {
+			t.Errorf("%s: error body %q", path, w.Body.String())
+		}
 	}
 }
 

@@ -121,7 +121,21 @@ func (p Profile) defaults() Profile {
 // The five applications whose traces were shorter than 200M instructions
 // (eon, fma3d, mcf, perlbmk, swim) keep the paper's relative lengths via
 // LengthScale (127/200, 30/200, 156/200, 58/200, 112/200).
+//
+// The caller owns the returned slice.
 func SPEC2000() []Profile {
+	return append([]Profile(nil), spec2000...)
+}
+
+// spec2000 and spec2000Names are built once: request validation looks a
+// profile up on every request.  Profile has no reference fields, so the
+// copies handed out by SPEC2000 and ByName share nothing with the table.
+var (
+	spec2000      = buildSPEC2000()
+	spec2000Names = profileNames(spec2000)
+)
+
+func buildSPEC2000() []Profile {
 	ps := []Profile{
 		// ---- SPECint ----
 		{Name: "gzip", Seed: 1001, FracLoad: 0.24, FracStore: 0.12, FracBranch: 0.14,
@@ -205,17 +219,21 @@ func SPEC2000() []Profile {
 // ByName returns the SPEC2000 profile with the given name, or false if no
 // such benchmark exists.
 func ByName(name string) (Profile, bool) {
-	for _, p := range SPEC2000() {
-		if p.Name == name {
-			return p, true
+	for i := range spec2000 {
+		if spec2000[i].Name == name {
+			return spec2000[i], true
 		}
 	}
 	return Profile{}, false
 }
 
-// Names returns the benchmark names in suite order.
+// Names returns the benchmark names in suite order; the caller owns the
+// returned slice.
 func Names() []string {
-	ps := SPEC2000()
+	return append([]string(nil), spec2000Names...)
+}
+
+func profileNames(ps []Profile) []string {
 	names := make([]string, len(ps))
 	for i, p := range ps {
 		names[i] = p.Name

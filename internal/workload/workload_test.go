@@ -53,6 +53,20 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestProfileTableShared pins the once-built benchmark table: ByName, on
+// every request's validation path, allocates nothing, and SPEC2000 and
+// Names hand out copies a caller may modify.
+func TestProfileTableShared(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ByName("apsi") }); n != 0 {
+		t.Errorf("ByName allocates %v times per call, want 0", n)
+	}
+	ps, names := SPEC2000(), Names()
+	ps[0].Name, names[0] = "mutated", "mutated"
+	if p, ok := ByName("gzip"); !ok || p.Name != "gzip" || SPEC2000()[0].Name != "gzip" || Names()[0] != "gzip" {
+		t.Error("modifying a returned slice changed the shared table")
+	}
+}
+
 func TestGeneratorDeterminism(t *testing.T) {
 	p, _ := ByName("gzip")
 	a := NewGenerator(p, 5000)

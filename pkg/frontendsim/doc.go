@@ -16,7 +16,7 @@
 //   - canonical request keys: RequestKey hashes the fully resolved
 //     request (configuration, simulation lengths, model overrides) so
 //     two spellings of the same simulation share one cache entry across
-//     every tier — the LRU/disk stores of pkg/resultstore, the
+//     every tier — the memory/disk stores of pkg/resultstore, the
 //     coalescing single-flight groups, and the consistent-hash sharding
 //     of pkg/scheduler all key on it,
 //   - RunSuite: a bounded worker pool that parallelizes a benchmark

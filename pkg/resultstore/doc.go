@@ -3,9 +3,10 @@
 // keys (frontendsim.Engine.RequestKey hashes) with three
 // implementations that compose into the system's cache hierarchy.
 //
-//   - Memory: a bounded, concurrency-safe LRU over marshalled responses
-//     — the process-local hot tier (formerly internal/simd's private
-//     cache).
+//   - Memory: a bounded, concurrency-safe store over marshalled
+//     responses with SIEVE eviction (a Get sets a visited bit; a hand
+//     sweeping oldest to newest evicts the first unvisited entry) — the
+//     process-local hot tier (formerly internal/simd's private cache).
 //   - Disk: a crash-safe disk-backed store — append-only, CRC-framed
 //     segment files plus an in-memory index, size-capped by rotating and
 //     evicting whole segments.  A Disk store reopened from the same

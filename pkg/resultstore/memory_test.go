@@ -3,6 +3,8 @@ package resultstore
 import (
 	"context"
 	"fmt"
+	"math/rand/v2"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -146,6 +148,126 @@ func TestMemoryConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// sieveModel is the reference for Memory's eviction: SIEVE written over
+// a slice in insertion order (oldest first) with the hand as an index.
+type sieveModel struct {
+	cap     int
+	keys    []string
+	vals    map[string]string
+	visited map[string]bool
+	hand    int
+}
+
+func newSieveModel(capacity int) *sieveModel {
+	return &sieveModel{cap: capacity, vals: map[string]string{}, visited: map[string]bool{}}
+}
+
+func (s *sieveModel) get(key string) (string, bool) {
+	v, ok := s.vals[key]
+	if ok {
+		s.visited[key] = true
+	}
+	return v, ok
+}
+
+func (s *sieveModel) set(key, val string) {
+	if s.cap < 1 {
+		return
+	}
+	if _, ok := s.vals[key]; ok {
+		s.vals[key], s.visited[key] = val, true
+		return
+	}
+	for len(s.keys) >= s.cap {
+		for s.visited[s.keys[s.hand]] {
+			s.visited[s.keys[s.hand]] = false
+			s.hand = (s.hand + 1) % len(s.keys)
+		}
+		delete(s.vals, s.keys[s.hand])
+		delete(s.visited, s.keys[s.hand])
+		s.keys = append(s.keys[:s.hand], s.keys[s.hand+1:]...)
+		if s.hand == len(s.keys) {
+			s.hand = 0
+		}
+	}
+	s.keys = append(s.keys, key)
+	s.vals[key], s.visited[key] = val, false
+}
+
+func (s *sieveModel) live() []string {
+	return SortKeys(append([]string{}, s.keys...))
+}
+
+// TestMemorySieveDifferential drives Memory and the reference model
+// through the same seeded Get/Set/overwrite/Peek sequences and compares
+// their live key sets (read with Keys) after every operation.  Peek and
+// Keys leave the model untouched, so if either disturbed a visited bit
+// or the hand, a later eviction would pick a different victim and the
+// key sets would diverge.
+func TestMemorySieveDifferential(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 0x5eed))
+		capacity := rng.IntN(9) // 0 disables the store
+		space := 2*capacity + 3
+		m, ref := NewMemory(capacity), newSieveModel(capacity)
+		for op := 0; op < 1500; op++ {
+			key := fmt.Sprintf("k%d", rng.IntN(space))
+			switch r := rng.IntN(10); {
+			case r < 4:
+				got, ok := mustGet(t, m, key)
+				want, wantOK := ref.get(key)
+				if ok != wantOK || string(got) != want {
+					t.Fatalf("seed %d op %d: Get(%s) = %q %v, model %q %v", seed, op, key, got, ok, want, wantOK)
+				}
+			case r < 8:
+				val := fmt.Sprint(op)
+				mustSet(t, m, key, val)
+				ref.set(key, val)
+			default:
+				got, ok, err := m.Peek(ctx, key)
+				if want, wantOK := ref.vals[key]; err != nil || ok != wantOK || string(got) != want {
+					t.Fatalf("seed %d op %d: Peek(%s) = %q %v %v, model %q %v", seed, op, key, got, ok, err, want, wantOK)
+				}
+			}
+			keys, err := m.Keys(ctx, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := SortKeys(keys), ref.live(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d op %d: live keys %v, model %v", seed, op, got, want)
+			}
+			if n := m.Len(); n > capacity || n != len(ref.keys) {
+				t.Fatalf("seed %d op %d: Len = %d, cap %d, model %d", seed, op, n, capacity, len(ref.keys))
+			}
+		}
+	}
+}
+
+// TestMemorySieveScanResistance pins what SIEVE buys over LRU: a key read
+// since the hand last passed survives a flood of one-time inserts many
+// times the capacity.  An LRU evicts it after capacity inserts.
+func TestMemorySieveScanResistance(t *testing.T) {
+	const capacity = 8
+	m := NewMemory(capacity)
+	mustSet(t, m, "hot", "h")
+	for i := 1; i < capacity; i++ {
+		mustSet(t, m, fmt.Sprintf("fill-%d", i), "v")
+	}
+	if _, ok := mustGet(t, m, "hot"); !ok {
+		t.Fatal("hot missing before the scan")
+	}
+	for i := 0; i < 10*capacity; i++ {
+		mustSet(t, m, fmt.Sprintf("scan-%d", i), "v")
+	}
+	if v, ok, _ := m.Peek(ctx, "hot"); !ok || string(v) != "h" {
+		t.Fatal("visited key evicted by a scan of one-time inserts")
+	}
+	keys := scannedSorted(t, m, nil)
+	if len(keys) != capacity || keys[0] != "hot" {
+		t.Fatalf("live keys after scan = %v, want hot plus the %d newest", keys, capacity-1)
+	}
 }
 
 // TestTotals pins the fold from per-tier stats to the store-level
