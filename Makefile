@@ -42,8 +42,10 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # Docs gate: the three docs exist and are linked from the README, every
-# relative markdown link in README + docs/ resolves, and gofmt/vet cover
-# the result-store package the docs describe.
+# relative markdown link in README + docs/ resolves, every flag of simd
+# and simsched is documented in docs/OPERATIONS.md, no removed flag is
+# documented as live, and gofmt/vet cover the result-store package the
+# docs describe.
 docs-check:
 	@for f in docs/ARCHITECTURE.md docs/API.md docs/OPERATIONS.md; do \
 		test -f "$$f" || { echo "docs-check: missing $$f"; exit 1; }; \
@@ -56,9 +58,20 @@ docs-check:
 			test -e "$$dir/$$link" || { echo "docs-check: $$f links missing $$link"; fail=1; }; \
 		done; \
 	done; exit $$fail
+	@fail=0; for f in cmd/simd/main.go cmd/simsched/main.go; do \
+		for name in $$(grep -oE 'flag\.[A-Za-z0-9]+\("[a-z0-9-]+"' "$$f" | sed -E 's/.*\("//; s/"$$//'); do \
+			grep -qE -- "(^|[^a-z0-9-])-$$name([^a-z0-9-]|$$)" docs/OPERATIONS.md || \
+				{ echo "docs-check: $$f flag -$$name is not documented in docs/OPERATIONS.md"; fail=1; }; \
+		done; \
+	done; exit $$fail
+	@if grep -rnE -- "-($(REMOVED_FLAGS))([^a-z0-9-]|$$)" README.md docs examples; then \
+		echo "docs-check: removed flags still documented (above)"; exit 1; fi
 	@out="$$(gofmt -l pkg/resultstore)"; if [ -n "$$out" ]; then \
 		echo "docs-check: gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./pkg/resultstore/...
+
+# Flags deleted from the binaries; docs-check keeps them out of the docs.
+REMOVED_FLAGS = warmup-peer|warmup-timeout|warmup-concurrency|antientropy-interval|hint-limit
 
 # Tier-1 benchmarks with allocation accounting; raw output passes
 # through and the parsed results land in BENCH_results.json.

@@ -11,8 +11,7 @@
 //	     [-compact-threshold 0.5] [-compact-interval 30s]
 //	     [-max-queue 64] [-queue-wait 5s] [-partial-results]
 //	     [-announce SCHED_URL] [-self SELF_URL]
-//	     [-warmup-peer URL,...] [-warmup-timeout 2m] [-warmup-concurrency 8]
-//	     [-antientropy-interval D]
+//	     [-repair-peers URL,...] [-repair-interval 1m]
 //	     [-warmup N] [-measure N] [-interval N] [-pprof ADDR]
 //
 // Admission control: at most -workers simulations run concurrently; up
@@ -33,22 +32,22 @@
 // graceful shutdown — a restarted backend rejoins the ring by itself,
 // even after the scheduler evicted it.
 //
-// With -warmup-peer, a joining replica pulls its ring slice of stored
-// results from a live peer's store plane (GET /v1/store/keys +
-// /v1/store/entries/{key}) before reporting ready: /healthz answers 503
-// and the ring announcement waits until the warm-up completes, so the
-// scheduler never routes to a cold replica.  The slice is computed from
-// the scheduler's current ring (-announce) plus this replica; without
-// -announce every peer key is pulled.  A warm-up that exhausts
-// -warmup-timeout logs the shortfall and serves cold rather than never
-// joining.
+// Peer repair refills this replica's ring slice of stored results from
+// peers that hold them: it compares per-bucket digests of its slice with
+// every peer (GET /v1/store/digest, computed by the peer over the keys
+// that hash to this replica), lists the keys of buckets that differ and
+// pulls the slice keys it is missing (GET /v1/store/entries/{key}).  A
+// run over a converged fleet costs one digest request per peer.  Peers are the static -repair-peers list
+// plus the scheduler's ring (-announce); the slice is that ring plus
+// this replica, or every key without -announce.  Repair runs at three
+// points:
 //
-// With -antientropy-interval > 0, a background repair loop periodically
-// exchanges per-bucket key-set digests with a ring neighbor and pulls
-// entries this replica is missing — divergence from missed writes heals
-// in the background instead of surfacing as recomputation.  Peers come
-// from the scheduler ring (-announce) or, without one, the static
-// -warmup-peer list.
+//   - at startup, when -repair-peers is set: /healthz answers 503 and
+//     the ring announcement waits until the slice is pulled, so the
+//     scheduler never routes to a cold replica (after 2m the replica
+//     logs the shortfall and serves cold rather than never joining);
+//   - when the scheduler reinstates this replica (POST /v1/store/repair);
+//   - every -repair-interval (0 disables the timer).
 //
 // Store backends (-store):
 //
@@ -186,20 +185,14 @@ func main() {
 		interval  = flag.Uint64("interval", 0, "default interval cycles (0 = paper default)")
 		announce  = flag.String("announce", "", "scheduler base URL to join on startup and depart on shutdown (empty disables)")
 		self      = flag.String("self", "", "advertised base URL of this backend (required with -announce)")
-		warmPeers = flag.String("warmup-peer", "", "comma-separated peer simd base URLs to pull this replica's ring slice from before reporting ready (empty disables)")
-		warmTO    = flag.Duration("warmup-timeout", 2*time.Minute, "join-time warm-up deadline; on expiry the replica logs the shortfall and serves cold")
-		warmConc  = flag.Int("warmup-concurrency", 8, "concurrent entry pulls during join-time warm-up")
-		aeIvl     = flag.Duration("antientropy-interval", 0, "background digest-exchange repair period (0 disables; needs -self plus -announce or -warmup-peer)")
+		repPeers  = flag.String("repair-peers", "", "comma-separated peer simd base URLs to repair from; also pulls this replica's ring slice before reporting ready (empty: ring peers only)")
+		repIvl    = flag.Duration("repair-interval", time.Minute, "period of the background peer repair (0 disables the timer; needs -repair-peers or -announce)")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty disables)")
 	)
 	flag.Parse()
 
 	if *announce != "" && *self == "" {
 		fmt.Fprintln(os.Stderr, "simd: -announce requires -self (the URL the scheduler should route to)")
-		os.Exit(2)
-	}
-	if *aeIvl > 0 && (*self == "" || (*announce == "" && *warmPeers == "")) {
-		fmt.Fprintln(os.Stderr, "simd: -antientropy-interval requires -self plus -announce or -warmup-peer")
 		os.Exit(2)
 	}
 
@@ -273,7 +266,7 @@ func main() {
 		srv.Shutdown(shutdownCtx)
 	}()
 
-	// Startup sequencing: warm the store from peers first (the replica
+	// Startup sequencing: repair the store from peers first (the replica
 	// answers /healthz 503 the whole time, so probes keep it out of
 	// rotation), then flip ready, then announce — the scheduler never
 	// sees a joined-but-cold replica.
@@ -295,23 +288,17 @@ func main() {
 			}
 		}
 	}
-	peerList := splitServers(*warmPeers)
+	peerList := splitServers(*repPeers)
 	for i, p := range peerList {
 		peerList[i] = strings.TrimRight(p, "/")
 	}
-	var antiEntropy *simd.AntiEntropy
-	if *aeIvl > 0 {
-		// Prefer live ring discovery; fall back to the static peer list
-		// when no scheduler is announced.
-		aePeers := []string(nil)
-		if *announce == "" {
-			aePeers = peerList
-		}
-		antiEntropy, err = api.NewAntiEntropy(simd.AntiEntropyConfig{
+	var repair *simd.Repair
+	if len(peerList) > 0 || *announce != "" {
+		repair, err = api.NewRepair(simd.RepairConfig{
 			SelfURL:  *self,
+			Peers:    peerList,
 			RingURL:  *announce,
-			Peers:    aePeers,
-			Interval: *aeIvl,
+			Interval: *repIvl,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			},
@@ -320,42 +307,33 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		defer antiEntropy.Close()
+		defer repair.Close()
+	}
+	join := func() {
+		if repair != nil {
+			repair.Start()
+		}
+		if *announce != "" {
+			announceLoop()
+		}
 	}
 	if len(peerList) > 0 {
 		api.SetReady(false)
 		go func() {
-			res, err := api.Warmup(ctx, simd.WarmupConfig{
-				Peers:       peerList,
-				SelfURL:     *self,
-				RingURL:     *announce,
-				Timeout:     *warmTO,
-				Concurrency: *warmConc,
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, format+"\n", args...)
-				},
-			})
+			res, err := repair.Run(ctx)
+			if ctx.Err() != nil {
+				return // shutting down: stay unready
+			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "simd: warm-up incomplete, serving cold: %v\n", err)
+				fmt.Fprintf(os.Stderr, "simd: join-time repair incomplete, serving cold: %v\n", err)
 			} else {
-				fmt.Fprintf(os.Stderr, "simd: warm-up done: pulled %d, already present %d\n",
-					res.Pulled, res.Skipped)
+				fmt.Fprintf(os.Stderr, "simd: join-time repair done: pulled %d\n", res.Pulled)
 			}
 			api.SetReady(true)
-			if antiEntropy != nil {
-				antiEntropy.Start()
-			}
-			if *announce != "" {
-				announceLoop()
-			}
+			join()
 		}()
 	} else {
-		if antiEntropy != nil {
-			antiEntropy.Start()
-		}
-		if *announce != "" {
-			go announceLoop()
-		}
+		go join()
 	}
 
 	fmt.Fprintf(os.Stderr, "simd: listening on %s, %s store (%s)\n",

@@ -31,7 +31,7 @@
 //	         [-timeout 10m] [-probe-interval 2s] [-probe-timeout 1s]
 //	         [-quarantine-threshold 3] [-evict-after 1m] [-hedge-delay 0]
 //	         [-retry-backoff 5ms] [-breaker-threshold 3] [-breaker-cooldown 5s]
-//	         [-hint-limit 256] [-partial-results]
+//	         [-partial-results]
 //	         [-warmup N] [-measure N] [-interval N] [-pprof ADDR]
 //
 // Resilience: retries within one dispatch wait out a jittered
@@ -45,12 +45,12 @@
 // 200 with per-shard `errors` entries and X-Cache: PARTIAL-ERROR
 // instead of failing the whole sweep.
 //
-// Hinted handoff: results computed while their home backend is
-// quarantined are buffered (up to -hint-limit per backend, newest kept)
-// and replayed into the backend's store the moment the membership
-// registry reinstates it, so a briefly-dead backend answers its ring
-// slice from cache instead of recomputing
-// (sched_hints_{queued,replayed,dropped}_total on /metrics).
+// Repair on reinstatement: the moment the membership registry
+// reinstates a backend, the scheduler sends it POST /v1/store/repair,
+// and the backend pulls the results of its ring slice that the
+// survivors computed while it was away, so it answers that slice from
+// its store instead of recomputing (sched_repair_requests_total on
+// /metrics; simd's -repair-interval pass covers a lost request).
 //
 // The -warmup/-measure/-interval defaults must match the backends' simd
 // flags: the scheduler canonicalizes requests under its own engine
@@ -140,7 +140,6 @@ func main() {
 		backoff   = flag.Duration("retry-backoff", 5*time.Millisecond, "jittered exponential backoff base between ring-walk retries (0 disables)")
 		brkThresh = flag.Int("breaker-threshold", 3, "consecutive dispatch failures that open a backend's circuit (0 disables the breaker)")
 		brkCool   = flag.Duration("breaker-cooldown", 5*time.Second, "time an open circuit diverts traffic before a half-open probe")
-		hintLimit = flag.Int("hint-limit", 256, "hinted-handoff entries buffered per quarantined backend, replayed on reinstatement (0 disables)")
 		partial   = flag.Bool("partial-results", false, "degrade suite runs gracefully: per-shard error entries and X-Cache: PARTIAL-ERROR instead of failing the whole suite")
 		warmup    = flag.Uint64("warmup", 0, "default warmup micro-ops (0 = paper default; match simd)")
 		measure   = flag.Uint64("measure", 0, "default measured micro-ops (0 = paper default; match simd)")
@@ -192,7 +191,6 @@ func main() {
 		RetryBackoff:     *backoff,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCool,
-		HintLimit:        *hintLimit,
 		PartialResults:   *partial,
 		ReportDispatch: func(node string, err error) {
 			if members != nil {

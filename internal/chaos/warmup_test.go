@@ -65,10 +65,10 @@ func getBody(t *testing.T, url string) (int, string) {
 // TestChaosWarmupRejoinServesWarmSlice is the churn-and-repair
 // scenario: a 3-replica fleet under continuous suite load loses replica
 // C; the scheduler quarantines it and the survivors absorb its slice.
-// A fresh C then rejoins with join-time warm-up — /healthz held at 503
+// A fresh C then rejoins with a join-time repair — /healthz held at 503
 // while it pulls its slice from the survivors — and must serve every
 // request of its ring slice with X-Cache: HIT, zero engine runs, and
-// simd_warmup_keys_total > 0.
+// simd_repair_pulled_total > 0.
 func TestChaosWarmupRejoinServesWarmSlice(t *testing.T) {
 	a, b, c := newWarmReplica(t), newWarmReplica(t), newWarmReplica(t)
 	eng := frontendsim.New(engineOpts()...)
@@ -144,27 +144,31 @@ func TestChaosWarmupRejoinServesWarmSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh C rejoins: cold store, /healthz 503 until the warm-up
-	// pulls its slice from the survivors.
+	// A fresh C rejoins: cold store, /healthz 503 until the join-time
+	// repair pulls its slice from the survivors.
 	fresh := newWarmReplica(t)
 	fresh.api.SetReady(false)
 	if code, _ := getBody(t, fresh.srv.URL+"/healthz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz during warm-up = %d, want 503", code)
+		t.Fatalf("healthz during repair = %d, want 503", code)
 	}
-	res, err := fresh.api.Warmup(context.Background(), simd.WarmupConfig{
+	repair, err := fresh.api.NewRepair(simd.RepairConfig{
 		Peers:   []string{a.srv.URL, b.srv.URL},
 		SelfURL: fresh.srv.URL,
 		RingURL: schedSrv.URL,
-		Timeout: 2 * time.Minute,
 	})
 	if err != nil {
-		t.Fatalf("warm-up: %v", err)
+		t.Fatal(err)
+	}
+	defer repair.Close()
+	res, err := repair.Run(context.Background())
+	if err != nil {
+		t.Fatalf("join-time repair: %v", err)
 	}
 	if res.Pulled == 0 {
-		t.Fatalf("warm-up pulled nothing: %+v", res)
+		t.Fatalf("join-time repair pulled nothing: %+v", res)
 	}
 	if code, _ := getBody(t, fresh.srv.URL+"/healthz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz after warm-up, before ready flip = %d, want 503", code)
+		t.Fatalf("healthz after repair, before ready flip = %d, want 503", code)
 	}
 	fresh.api.SetReady(true)
 
@@ -206,10 +210,10 @@ func TestChaosWarmupRejoinServesWarmSlice(t *testing.T) {
 		t.Fatal("no benchmark homed on the rejoined replica")
 	}
 	if runs := fresh.runs.Load(); runs != 0 {
-		t.Errorf("rejoined replica recomputed %d times; the warmed slice must serve from store", runs)
+		t.Errorf("rejoined replica recomputed %d times; the repaired slice must serve from store", runs)
 	}
 	_, exposition := getBody(t, fresh.srv.URL+"/metrics")
-	if n := metricSum(t, exposition, "simd_warmup_keys_total", ""); n <= 0 {
-		t.Errorf("simd_warmup_keys_total = %v, want > 0 after a pulling warm-up", n)
+	if n := metricSum(t, exposition, "simd_repair_pulled_total", ""); n <= 0 {
+		t.Errorf("simd_repair_pulled_total = %v, want > 0 after a pulling repair", n)
 	}
 }

@@ -1,8 +1,8 @@
 // Package hashring implements the consistent-hash ring shared by the
-// scheduler's dispatch path and the backends' warm-up / anti-entropy
-// machinery.  It lives under internal/ so simd can compute "which keys
-// hash to my slice" with exactly the arithmetic the scheduler routes
-// by, without importing pkg/scheduler (whose tests import simd).
+// scheduler's dispatch path and the backends' peer repair.  It lives
+// under internal/ so simd can compute "which keys hash to my slice" with
+// exactly the arithmetic the scheduler routes by, without importing
+// pkg/scheduler (whose tests import simd).
 package hashring
 
 import (
@@ -127,7 +127,7 @@ func (r *Ring) Sequence(key string) []string {
 
 // Successor returns node's clockwise ring neighbor: the first distinct
 // node owning a virtual point after node's lowest-hash point.  It is the
-// natural anti-entropy partner — the node that absorbs this one's slice
+// natural repair partner — the node that absorbs this one's slice
 // when it fails.  Returns "" when node is absent or the ring has no
 // other node.
 func (r *Ring) Successor(node string) string {

@@ -36,9 +36,11 @@ const DefaultMaxBodyBytes = 1 << 20
 //	GET  /v1/cache/stats        response-cache counters
 //	GET  /v1/store/keys         live key enumeration (501 without the
 //	                            store's Scanner capability)
-//	GET  /v1/store/digest       per-bucket key-set digests (anti-entropy)
+//	GET  /v1/store/digest       per-bucket key-set digests (peer repair)
 //	GET  /v1/store/entries/{key}  one stored response body, verbatim
-//	PUT  /v1/store/entries/{key}  repair write (hint replay, reseeding)
+//	PUT  /v1/store/entries/{key}  operator write (reseeding)
+//	POST /v1/store/repair       wake the peer-repair loop (202; 501
+//	                            without NewRepair)
 //	GET  /metrics               Prometheus text exposition (with WithMetrics)
 //	GET  /healthz               readiness: 200 while serving, 503 when
 //	                            draining or the response store is down
@@ -74,14 +76,15 @@ type Server struct {
 	// in-flight simulation (reported by /v1/cache/stats).
 	coalesced atomic.Uint64
 
-	// Self-healing counters: entries pulled (and pull failures) during
-	// join-time warm-up, anti-entropy repair rounds and the entries they
-	// pulled, and repair writes accepted through PUT /v1/store/entries.
-	warmupKeys   atomic.Uint64
-	warmupErrs   atomic.Uint64
-	aeRounds     atomic.Uint64
-	aePulled     atomic.Uint64
-	aeErrs       atomic.Uint64
+	// repair is the peer-pull repair POST /v1/store/repair wakes (nil
+	// until NewRepair).
+	repair atomic.Pointer[Repair]
+	// Self-healing counters: completed repair runs, entries they pulled,
+	// failed pulls and runs, and writes accepted through PUT
+	// /v1/store/entries.
+	repairRuns   atomic.Uint64
+	repairPulled atomic.Uint64
+	repairErrs   atomic.Uint64
 	repairWrites atomic.Uint64
 }
 
@@ -165,6 +168,7 @@ func NewServerWithStore(eng *frontendsim.Engine, store resultstore.Store, opts .
 	s.handle("GET /v1/store/digest", s.handleStoreDigest)
 	s.handle("GET /v1/store/entries/{key}", s.handleStoreGetEntry)
 	s.handle("PUT /v1/store/entries/{key}", s.handleStorePutEntry)
+	s.handle("POST /v1/store/repair", s.handleStoreRepair)
 	s.handle("GET /healthz", s.handleHealthz)
 	if s.metrics != nil {
 		s.mux.Handle("GET /metrics", s.metrics.Handler())
@@ -228,27 +232,19 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 				emit(nil, 0)
 			}
 		})
-	reg.Sampled("simd_warmup_keys_total", "Entries pulled from peers during join-time warm-up.",
+	reg.Sampled("simd_repair_runs_total", "Completed peer-repair runs.",
 		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.warmupKeys.Load()))
+			emit(nil, float64(s.repairRuns.Load()))
 		})
-	reg.Sampled("simd_warmup_errors_total", "Warm-up pulls that failed on every peer.",
+	reg.Sampled("simd_repair_pulled_total", "Entries pulled from peers by repair.",
 		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.warmupErrs.Load()))
+			emit(nil, float64(s.repairPulled.Load()))
 		})
-	reg.Sampled("simd_antientropy_rounds_total", "Completed anti-entropy digest exchanges.",
+	reg.Sampled("simd_repair_errors_total", "Repair pulls that failed on every peer, and runs that hit their deadline.",
 		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.aeRounds.Load()))
+			emit(nil, float64(s.repairErrs.Load()))
 		})
-	reg.Sampled("simd_antientropy_pulled_total", "Entries pulled from peers by anti-entropy repair.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.aePulled.Load()))
-		})
-	reg.Sampled("simd_antientropy_errors_total", "Anti-entropy rounds or pulls that failed.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.aeErrs.Load()))
-		})
-	reg.Sampled("simd_store_repair_writes_total", "Entries accepted through PUT /v1/store/entries (hint replay, reseeding).",
+	reg.Sampled("simd_store_repair_writes_total", "Entries accepted through PUT /v1/store/entries (reseeding).",
 		obs.TypeCounter, nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.repairWrites.Load()))
 		})
@@ -657,6 +653,7 @@ func Describe() string {
 		"GET /v1/store/keys",
 		"GET /v1/store/digest",
 		"GET|PUT /v1/store/entries/{key}",
+		"POST /v1/store/repair",
 		"GET /metrics",
 		"GET /healthz",
 	}, ", ")

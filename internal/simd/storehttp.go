@@ -6,19 +6,25 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
+	"slices"
 	"strconv"
 
+	"repro/internal/hashring"
 	"repro/pkg/resultstore"
 )
 
 // Store plane: the response store exposed over HTTP so peers can repair
 // each other.  GET /v1/store/keys and /v1/store/digest require the
 // store's optional Scanner capability (501 without it — a remote-backed
-// replica cannot enumerate the shared tier, and a warming peer falls
-// back to a replica that can); GET and PUT /v1/store/entries/{key} work
-// against any store.  The warm-up and anti-entropy clients in this
-// package are the intended consumers, but the endpoints are plain HTTP:
-// an operator can inspect or reseed a store with curl.
+// replica cannot enumerate the shared tier, and a repairing peer lists
+// keys from a replica that can); both take an optional slice selection
+// (node=u&member=m...) so a repairing replica digests and lists only
+// the keys that hash to it.  GET and PUT /v1/store/entries/{key} work
+// against any store.  POST /v1/store/repair wakes this replica's
+// own repair loop (the scheduler sends it on reinstatement).  The
+// repair in this package is the intended consumer, but the endpoints
+// are plain HTTP: an operator can inspect or reseed a store with curl.
 
 // maxStoreKeyLen bounds the key path element of /v1/store/entries —
 // canonical request keys are short hex strings, so anything longer is a
@@ -36,26 +42,49 @@ func storeKeyError(key string) error {
 	return nil
 }
 
-// bucketFilter parses the optional bucket=i&buckets=n selection of
-// /v1/store/keys.  Both present: a fixed hash-space slice filter; both
-// absent: nil (every key); anything else is a request error.
-func bucketFilter(r *http.Request) (func(string) bool, error) {
-	bucketStr, bucketsStr := r.URL.Query().Get("bucket"), r.URL.Query().Get("buckets")
-	if bucketStr == "" && bucketsStr == "" {
+// maxSliceMembers bounds the member list of a slice selection.
+const maxSliceMembers = 256
+
+// storeFilter parses the optional key selections of /v1/store/keys and
+// /v1/store/digest into one filter (nil: every key).  node=u with
+// member=m repeated keeps the keys that hash to u on the consistent-hash
+// ring of the members — the requesting replica's slice, with exactly
+// the arithmetic the scheduler routes by.  withBucket additionally
+// accepts bucket=i&buckets=n, one fixed hash-space bucket (listing
+// only: on the digest, buckets is the bucket count).
+func storeFilter(q url.Values, withBucket bool) (func(string) bool, error) {
+	var filters []func(string) bool
+	if node, members := q.Get("node"), q["member"]; node != "" || len(members) > 0 {
+		if len(members) > maxSliceMembers || !slices.Contains(members, node) {
+			return nil, fmt.Errorf("simd: slice node %q must be one of at most %d members", node, maxSliceMembers)
+		}
+		ring, err := hashring.New(members, hashring.DefaultReplicas)
+		if err != nil {
+			return nil, err
+		}
+		filters = append(filters, func(key string) bool { return ring.Node(key) == node })
+	}
+	if bucketStr, bucketsStr := q.Get("bucket"), q.Get("buckets"); withBucket && (bucketStr != "" || bucketsStr != "") {
+		bucket, err := strconv.Atoi(bucketStr)
+		if err != nil {
+			return nil, fmt.Errorf("simd: bad bucket %q", bucketStr)
+		}
+		buckets, err := strconv.Atoi(bucketsStr)
+		if err != nil {
+			return nil, fmt.Errorf("simd: bad buckets %q", bucketsStr)
+		}
+		if buckets < 1 || bucket < 0 || bucket >= buckets {
+			return nil, fmt.Errorf("simd: bucket %d out of range [0, %d)", bucket, buckets)
+		}
+		filters = append(filters, func(key string) bool { return resultstore.BucketOf(key, buckets) == bucket })
+	}
+	switch len(filters) {
+	case 0:
 		return nil, nil
+	case 1:
+		return filters[0], nil
 	}
-	bucket, err := strconv.Atoi(bucketStr)
-	if err != nil {
-		return nil, fmt.Errorf("simd: bad bucket %q", bucketStr)
-	}
-	buckets, err := strconv.Atoi(bucketsStr)
-	if err != nil {
-		return nil, fmt.Errorf("simd: bad buckets %q", bucketsStr)
-	}
-	if buckets < 1 || bucket < 0 || bucket >= buckets {
-		return nil, fmt.Errorf("simd: bucket %d out of range [0, %d)", bucket, buckets)
-	}
-	return func(key string) bool { return resultstore.BucketOf(key, buckets) == bucket }, nil
+	return func(key string) bool { return filters[0](key) && filters[1](key) }, nil
 }
 
 // storeKeysResponse is the GET /v1/store/keys body.
@@ -65,10 +94,11 @@ type storeKeysResponse struct {
 }
 
 // handleStoreKeys enumerates the store's live key set, optionally
-// restricted to one fixed hash-space bucket (bucket=i&buckets=n).  501
-// when the store cannot enumerate (no Scanner capability).
+// restricted to one fixed hash-space bucket and to a requester's slice
+// (storeFilter).  501 when the store cannot enumerate (no Scanner
+// capability).
 func (s *Server) handleStoreKeys(w http.ResponseWriter, r *http.Request) {
-	filter, err := bucketFilter(r)
+	filter, err := storeFilter(r.URL.Query(), true)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -101,9 +131,15 @@ type storeDigestResponse struct {
 // maxDigestBuckets bounds the buckets query parameter.
 const maxDigestBuckets = 4096
 
-// handleStoreDigest reports the per-bucket key-set digests anti-entropy
-// exchanges.  501 when the store cannot enumerate.
+// handleStoreDigest reports the per-bucket key-set digests repair
+// compares, optionally over a requester's slice only (storeFilter).
+// 501 when the store cannot enumerate.
 func (s *Server) handleStoreDigest(w http.ResponseWriter, r *http.Request) {
+	filter, err := storeFilter(r.URL.Query(), false)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
 	buckets := resultstore.DefaultDigestBuckets
 	if v := r.URL.Query().Get("buckets"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -113,7 +149,7 @@ func (s *Server) handleStoreDigest(w http.ResponseWriter, r *http.Request) {
 		}
 		buckets = n
 	}
-	keys, ok, err := resultstore.ScanKeys(r.Context(), s.store, nil)
+	keys, ok, err := resultstore.ScanKeys(r.Context(), s.store, filter)
 	if !ok {
 		writeError(w, http.StatusNotImplemented, err)
 		return
@@ -152,11 +188,10 @@ func (s *Server) handleStoreGetEntry(w http.ResponseWriter, r *http.Request) {
 	w.Write(body)
 }
 
-// handleStorePutEntry writes one entry into the store — the repair
-// write path used by warm-up pulls (on the puller's side it is a plain
-// Set), hinted-handoff replay and anti-entropy.  The body is stored
-// verbatim, so a replayed entry serves byte-identical to the original
-// computation.
+// handleStorePutEntry writes one entry into the store, verbatim, so a
+// reseeded entry serves byte-identical to the original computation.
+// Repair pulls do not come through here (the puller Sets its own
+// store); this is the operator's reseeding path.
 func (s *Server) handleStorePutEntry(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if err := storeKeyError(key); err != nil {
@@ -179,4 +214,16 @@ func (s *Server) handleStorePutEntry(w http.ResponseWriter, r *http.Request) {
 	}
 	s.repairWrites.Add(1)
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// handleStoreRepair wakes the repair loop and answers 202 without
+// waiting for the run; 501 when this replica has no repair configured.
+func (s *Server) handleStoreRepair(w http.ResponseWriter, _ *http.Request) {
+	r := s.repair.Load()
+	if r == nil {
+		writeError(w, http.StatusNotImplemented, errors.New("simd: repair is not configured"))
+		return
+	}
+	r.trigger()
+	w.WriteHeader(http.StatusAccepted)
 }

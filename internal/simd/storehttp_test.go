@@ -3,12 +3,15 @@ package simd
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/hashring"
 	"repro/internal/memcachetest"
 	"repro/pkg/frontendsim"
 	"repro/pkg/resultstore"
@@ -167,6 +170,62 @@ func TestStoreDigestEndpoint(t *testing.T) {
 		t.Fatalf("digests = %v, want %v", body.Digests, want)
 	}
 	for _, bad := range []string{"/v1/store/digest?buckets=0", "/v1/store/digest?buckets=5000", "/v1/store/digest?buckets=x"} {
+		if w := get(t, srv, bad); w.Code != http.StatusBadRequest {
+			t.Errorf("GET %s = %d, want 400", bad, w.Code)
+		}
+	}
+}
+
+// TestStoreSliceSelection: node=u&member=m... restricts the digest and
+// the listing to the keys that hash to u on the members' ring, and a
+// node outside the members is a request error.
+func TestStoreSliceSelection(t *testing.T) {
+	srv, store := storeServer(t)
+	keys := keyRange(0, 40)
+	seedKeys(t, store, keys...)
+	members := []string{"http://a.test", "http://b.test", "http://c.test"}
+	ring, err := hashring.New(members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mine []string
+	for _, k := range keys {
+		if ring.Node(k) == members[1] {
+			mine = append(mine, k)
+		}
+	}
+	if len(mine) == 0 || len(mine) == len(keys) {
+		t.Fatalf("degenerate slice: %d of %d keys", len(mine), len(keys))
+	}
+	slice := url.Values{"node": {members[1]}, "member": members}.Encode()
+
+	w := get(t, srv, "/v1/store/digest?buckets=8&"+slice)
+	var digest storeDigestResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &digest); w.Code != http.StatusOK || err != nil {
+		t.Fatalf("digest = %d %v", w.Code, err)
+	}
+	if want := resultstore.BucketDigests(mine, 8); digest.Count != len(mine) || !reflect.DeepEqual(digest.Digests, want) {
+		t.Fatalf("slice digest = %+v, want %d keys, digests %v", digest, len(mine), want)
+	}
+	var listed []string
+	for b := 0; b < 8; b++ {
+		w := get(t, srv, fmt.Sprintf("/v1/store/keys?bucket=%d&buckets=8&%s", b, slice))
+		var body storeKeysResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &body); w.Code != http.StatusOK || err != nil {
+			t.Fatalf("keys bucket %d = %d %v", b, w.Code, err)
+		}
+		listed = append(listed, body.Keys...)
+	}
+	resultstore.SortKeys(listed)
+	resultstore.SortKeys(mine)
+	if !reflect.DeepEqual(listed, mine) {
+		t.Errorf("slice listing = %v, want %v", listed, mine)
+	}
+	for _, bad := range []string{
+		"/v1/store/digest?node=http://d.test&member=http://a.test",
+		"/v1/store/keys?member=http://a.test",
+		"/v1/store/keys?node=http://a.test",
+	} {
 		if w := get(t, srv, bad); w.Code != http.StatusBadRequest {
 			t.Errorf("GET %s = %d, want 400", bad, w.Code)
 		}

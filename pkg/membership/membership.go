@@ -88,9 +88,8 @@ type Config struct {
 	// Calls are serialized with each other and with OnChange; for an
 	// event that changes the routable set, OnChange (with the bumped
 	// epoch) is delivered first.  The same blocking/re-entrancy rules as
-	// OnChange apply.  The scheduler's hinted-handoff queue subscribes
-	// here: quarantine starts buffering a member's writes, reinstatement
-	// replays them, eviction drops them.
+	// OnChange apply.  The scheduler subscribes here to ask a
+	// reinstated member to repair its store.
 	OnTransition func(url string, t Transition)
 	// Metrics, when set, registers the membership counters and state
 	// gauges on the registry.

@@ -121,7 +121,7 @@ func (t *Tiered) Keys(ctx context.Context, filter func(key string) bool) ([]stri
 	return out, nil
 }
 
-// Digest summarizes a key set for anti-entropy comparison: the key
+// Digest summarizes a key set for peer-repair comparison: the key
 // count plus an order-independent XOR fold of each key's FNV-1a hash.
 // Two stores whose digests match hold the same key set with
 // overwhelming probability; a mismatch pins down which bucket to pull.
@@ -139,7 +139,7 @@ func KeyDigest(keys []string) Digest {
 	return d
 }
 
-// DefaultDigestBuckets is the bucket count anti-entropy digests use
+// DefaultDigestBuckets is the bucket count peer-repair digests use
 // when the caller passes buckets < 1.  64 keeps a differing slice's
 // repair pull to ~1/64 of the key space.
 const DefaultDigestBuckets = 64
@@ -157,7 +157,7 @@ func BucketOf(key string, buckets int) int {
 }
 
 // BucketDigests splits keys into buckets fixed hash-space slices and
-// digests each independently, so anti-entropy can find *where* two
+// digests each independently, so peer repair can find *where* two
 // stores diverge and pull only that slice.
 func BucketDigests(keys []string, buckets int) []Digest {
 	if buckets < 1 {

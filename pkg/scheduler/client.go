@@ -100,3 +100,21 @@ func backendMessage(r io.Reader) string {
 	}
 	return string(bytes.TrimSpace(raw))
 }
+
+// Repair posts node's POST /v1/store/repair, which wakes the backend's
+// peer repair; it answers 202 without waiting for the run.
+func (c *Client) Repair(ctx context.Context, node string) error {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/v1/store/repair", nil)
+	if err != nil {
+		return fmt.Errorf("scheduler: build request: %w", err)
+	}
+	resp, err := c.hc.Do(hreq)
+	if err != nil {
+		return fmt.Errorf("scheduler: backend %s: %w", node, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		return &BackendError{Node: node, Status: resp.StatusCode, Msg: backendMessage(resp.Body)}
+	}
+	return nil
+}

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/singleflight"
 	"repro/pkg/frontendsim"
+	"repro/pkg/membership"
 	"repro/pkg/obs"
 	"repro/pkg/resultstore"
 )
@@ -74,12 +75,10 @@ type Config struct {
 	// entries (X-Cache: PARTIAL-ERROR at the server tier) instead of
 	// failing the whole suite.
 	PartialResults bool
-	// HintLimit enables hinted handoff: up to this many write-throughs
-	// per quarantined member are buffered and replayed into its store
-	// (PUT /v1/store/entries/{key}) on reinstatement, so the member
-	// serves the keys computed during its absence without recompute.
-	// Requires OnMembershipTransition to be wired to
-	// membership.Config.OnTransition.  0 disables.
+	// HintLimit is ignored.
+	//
+	// Deprecated: a reinstated member now repairs its own store from
+	// its peers (see OnMembershipTransition); nothing is buffered here.
 	HintLimit int
 }
 
@@ -111,15 +110,12 @@ type Stats struct {
 	BreakerSkips uint64 `json:"breaker_skips"`
 	// Backoffs counts jittered waits slept between retry attempts.
 	Backoffs uint64 `json:"backoffs"`
-	// HintsQueued counts write-throughs buffered for quarantined
-	// members (hinted handoff).
-	HintsQueued uint64 `json:"hints_queued"`
-	// HintsReplayed counts buffered writes delivered into a reinstated
-	// member's store.
-	HintsReplayed uint64 `json:"hints_replayed"`
-	// HintsDropped counts buffered writes lost to the per-member bound,
-	// replay failures, or the member's eviction/departure.
-	HintsDropped uint64 `json:"hints_dropped"`
+	// RepairRequests counts POST /v1/store/repair requests a
+	// reinstated member accepted.
+	RepairRequests uint64 `json:"repair_requests"`
+	// RepairErrors counts repair requests that failed (the member's
+	// periodic repair covers them).
+	RepairErrors uint64 `json:"repair_errors"`
 }
 
 // Scheduler is the multi-node suite frontend: it expands a suite into
@@ -160,8 +156,6 @@ type Scheduler struct {
 	backoffSeconds *obs.Histogram
 	reportDispatch func(node string, err error)
 	partial        bool
-	// hints is the hinted-handoff queue (nil when disabled).
-	hints *hintQueue
 
 	dispatched   atomic.Uint64
 	retried      atomic.Uint64
@@ -172,6 +166,8 @@ type Scheduler struct {
 	ringSwaps    atomic.Uint64
 	breakerSkips atomic.Uint64
 	backoffs     atomic.Uint64
+	repairReqs   atomic.Uint64
+	repairErrs   atomic.Uint64
 }
 
 // outcome is one single-flighted dispatch's result plus whether the
@@ -205,9 +201,6 @@ func New(eng *frontendsim.Engine, cfg Config) (*Scheduler, error) {
 	}
 	if cfg.BreakerThreshold > 0 {
 		s.brk = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown)
-	}
-	if cfg.HintLimit > 0 {
-		s.hints = newHintQueue(cfg.HintLimit, cfg.Replicas, cfg.Backends, cfg.HTTPClient)
 	}
 	s.ring.Store(ring)
 	if cfg.Metrics != nil {
@@ -261,18 +254,37 @@ func (s *Scheduler) registerMetrics(reg *obs.Registry) {
 		obs.TypeCounter, nil, func(emit func([]string, float64)) {
 			emit(nil, float64(s.breakerSkips.Load()))
 		})
-	reg.Sampled("sched_hints_queued_total", "Write-throughs buffered for quarantined members (hinted handoff).",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.Stats().HintsQueued))
+	reg.Sampled("sched_repair_requests_total", "Repair requests sent to reinstated members, by result.",
+		obs.TypeCounter, []string{"result"}, func(emit func([]string, float64)) {
+			st := s.Stats()
+			emit([]string{"accepted"}, float64(st.RepairRequests))
+			emit([]string{"error"}, float64(st.RepairErrors))
 		})
-	reg.Sampled("sched_hints_replayed_total", "Buffered writes delivered into reinstated members' stores.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.Stats().HintsReplayed))
-		})
-	reg.Sampled("sched_hints_dropped_total", "Buffered writes lost to the per-member bound, replay failures, or eviction.",
-		obs.TypeCounter, nil, func(emit func([]string, float64)) {
-			emit(nil, float64(s.Stats().HintsDropped))
-		})
+}
+
+// OnMembershipTransition returns a callback for
+// membership.Config.OnTransition that asks a reinstated member to
+// repair its store: one POST /v1/store/repair, sent asynchronously (the
+// membership callback must not block on network I/O).  The member's
+// repair pulls the keys of its slice that its peers computed while it
+// was quarantined, so it serves them without recompute; its periodic
+// repair covers a request that is lost.  Wire it alongside
+// OnMembershipChange.
+func (s *Scheduler) OnMembershipTransition() func(url string, t membership.Transition) {
+	return func(url string, t membership.Transition) {
+		if t != membership.TransitionReinstate {
+			return
+		}
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if err := s.client.Repair(ctx, url); err != nil {
+				s.repairErrs.Add(1)
+				return
+			}
+			s.repairReqs.Add(1)
+		}()
+	}
 }
 
 // OnMembershipChange returns a callback for membership.Config.OnChange
@@ -310,23 +322,19 @@ func (s *Scheduler) SetBackends(nodes []string) error {
 
 // Stats returns a snapshot of the cumulative dispatch counters.
 func (s *Scheduler) Stats() Stats {
-	st := Stats{
-		Dispatched:   s.dispatched.Load(),
-		Retried:      s.retried.Load(),
-		Coalesced:    s.coalesced.Load(),
-		CacheHits:    s.cacheHits.Load(),
-		Hedged:       s.hedged.Load(),
-		HedgeWins:    s.hedgeWins.Load(),
-		RingSwaps:    s.ringSwaps.Load(),
-		BreakerSkips: s.breakerSkips.Load(),
-		Backoffs:     s.backoffs.Load(),
+	return Stats{
+		Dispatched:     s.dispatched.Load(),
+		Retried:        s.retried.Load(),
+		Coalesced:      s.coalesced.Load(),
+		CacheHits:      s.cacheHits.Load(),
+		Hedged:         s.hedged.Load(),
+		HedgeWins:      s.hedgeWins.Load(),
+		RingSwaps:      s.ringSwaps.Load(),
+		BreakerSkips:   s.breakerSkips.Load(),
+		Backoffs:       s.backoffs.Load(),
+		RepairRequests: s.repairReqs.Load(),
+		RepairErrors:   s.repairErrs.Load(),
 	}
-	if s.hints != nil {
-		st.HintsQueued = s.hints.queued.Load()
-		st.HintsReplayed = s.hints.replayed.Load()
-		st.HintsDropped = s.hints.dropped.Load()
-	}
-	return st
 }
 
 // CacheStats returns the scheduler-tier store's per-tier counters (nil
@@ -508,7 +516,6 @@ func (s *Scheduler) DispatchSource(ctx context.Context, req frontendsim.Request)
 			return outcome{}, err
 		}
 		s.cacheSet(runCtx, key, res)
-		s.hintResult(key, res)
 		return outcome{res: res}, nil
 	})
 	if err != nil {
@@ -558,6 +565,9 @@ func (s *Scheduler) cacheGet(ctx context.Context, key string) *frontendsim.Resul
 
 // cacheSet writes one dispatched result back to the scheduler-tier
 // store, best-effort: a store failure only costs a later recompute.
+// The entry is the backend's stored form, newline-terminated JSON, so a
+// store shared with simd (-store remote) serves the same bytes from
+// either tier.
 func (s *Scheduler) cacheSet(ctx context.Context, key string, res *frontendsim.Result) {
 	if s.cache == nil {
 		return
@@ -566,7 +576,7 @@ func (s *Scheduler) cacheSet(ctx context.Context, key string, res *frontendsim.R
 	if err != nil {
 		return
 	}
-	s.cache.Set(ctx, key, body)
+	s.cache.Set(ctx, key, append(body, '\n'))
 }
 
 // attempts resolves the Config.Retries semantics against the current
