@@ -102,14 +102,21 @@ bench-full:
 demo:
 	$(GO) run ./examples/distributed
 
-# Deterministic fuzz smoke: 10 seconds of native fuzzing over disk
-# segment replay (differential against an independent reference
-# decoder).  Catches framing regressions in CI without the open-ended
-# runtime of a real fuzz campaign; run `go test -fuzz FuzzSegmentReplay
-# ./pkg/resultstore` with no -fuzztime to hunt for longer.
+# Deterministic fuzz smoke: 10 seconds of native fuzzing per target —
+# disk segment replay (differential against an independent reference
+# decoder), the stored-result parse and its splice, RequestKey's
+# spelling invariance, and both tiers' request decoders (400/413, never
+# a 5xx or a panic).  Catches regressions in CI without the open-ended
+# runtime of a real fuzz campaign; run e.g. `go test -fuzz
+# FuzzSegmentReplay ./pkg/resultstore` with no -fuzztime to hunt for
+# longer.
 FUZZTIME ?= 10s
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzSegmentReplay$$' -fuzztime $(FUZZTIME) ./pkg/resultstore
+	$(GO) test -run '^$$' -fuzz '^FuzzParseStored$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestKey$$' -fuzztime $(FUZZTIME) ./pkg/frontendsim
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecoders$$' -fuzztime $(FUZZTIME) ./internal/simd
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecoders$$' -fuzztime $(FUZZTIME) ./pkg/scheduler
 
 # Coverage floor for the store package: every backend rides one
 # conformance suite, so coverage here is cheap to keep and expensive to

@@ -140,7 +140,11 @@ func ablationRun(b *testing.B, cfg core.Config, opt sim.Options, bench string) *
 	if !ok {
 		b.Fatal("unknown benchmark")
 	}
-	return sim.Run(cfg, prof, opt)
+	res, err := sim.RunHooked(cfg, prof, opt, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkAblationHopInterval sweeps the bank-hopping interval: longer

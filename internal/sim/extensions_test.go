@@ -14,14 +14,14 @@ func TestDTMThrottlesHotRuns(t *testing.T) {
 	// behaviour the paper's techniques aim to avoid.
 	prof, _ := workload.ByName("gzip")
 	opt := quick()
-	base := Run(core.DefaultConfig(), prof, opt)
+	base := run(core.DefaultConfig(), prof, opt)
 
 	cfg := dtm.DefaultConfig()
 	cfg.TriggerC = base.Temps.AbsMax(nil) + base.Temps.Ambient() - 10 // well below the observed peak
 	cfg.ReleaseC = cfg.TriggerC - 4
 	optDTM := opt
 	optDTM.DTM = &cfg
-	dtmRes := Run(core.DefaultConfig(), prof, optDTM)
+	dtmRes := run(core.DefaultConfig(), prof, optDTM)
 
 	if dtmRes.DTMEngagements == 0 {
 		t.Fatal("controller never engaged below-peak trigger")
@@ -45,7 +45,7 @@ func TestDTMIdleWhenCool(t *testing.T) {
 	opt := quick()
 	cfg := dtm.DefaultConfig()
 	opt.DTM = &cfg
-	r := Run(core.DefaultConfig(), prof, opt)
+	r := run(core.DefaultConfig(), prof, opt)
 	if r.DTMEngagements != 0 {
 		t.Errorf("controller engaged %d times below the emergency limit", r.DTMEngagements)
 	}
@@ -58,7 +58,7 @@ func TestBranchPredictorIntegration(t *testing.T) {
 	prof, _ := workload.ByName("vpr")
 	cfg := core.DefaultConfig()
 	cfg.UseBranchPredictor = true
-	r := Run(cfg, prof, quick())
+	r := run(cfg, prof, quick())
 	if r.MeasOps == 0 {
 		t.Fatal("predictor run did not measure")
 	}
@@ -71,10 +71,10 @@ func TestBranchPredictorVsProfileRates(t *testing.T) {
 	// Both misprediction sources must yield the same order of magnitude
 	// of redirects — the profile rates are calibrated stand-ins.
 	prof, _ := workload.ByName("gzip")
-	base := Run(core.DefaultConfig(), prof, quick())
+	base := run(core.DefaultConfig(), prof, quick())
 	cfg := core.DefaultConfig()
 	cfg.UseBranchPredictor = true
-	pred := Run(cfg, prof, quick())
+	pred := run(cfg, prof, quick())
 	lo, hi := base.Stats.Mispredicts/8, base.Stats.Mispredicts*8
 	if pred.Stats.Mispredicts < lo || pred.Stats.Mispredicts > hi {
 		t.Errorf("predictor mispredicts %d wildly off profile-rate %d",

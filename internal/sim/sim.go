@@ -122,13 +122,6 @@ type Interval struct {
 // its context cancellation and streaming observers on.
 type Hook func(Interval) error
 
-// Run simulates one configuration on one benchmark profile.  It is a thin
-// adapter over RunHooked with no hook installed (a nil hook never aborts).
-func Run(cfg core.Config, prof workload.Profile, opt Options) *Result {
-	res, _ := RunHooked(cfg, prof, opt, nil)
-	return res
-}
-
 // RunHooked simulates one configuration on one benchmark profile, calling
 // hook (when non-nil) at the end of every measured interval.
 func RunHooked(cfg core.Config, prof workload.Profile, opt Options, hook Hook) (*Result, error) {

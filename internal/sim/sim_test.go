@@ -17,13 +17,19 @@ func quick() Options {
 	return o
 }
 
+// run is RunHooked without a hook, which never aborts.
+func run(cfg core.Config, prof workload.Profile, opt Options) *Result {
+	res, _ := RunHooked(cfg, prof, opt, nil)
+	return res
+}
+
 func runQuick(t *testing.T, cfg core.Config, bench string) *Result {
 	t.Helper()
 	prof, ok := workload.ByName(bench)
 	if !ok {
 		t.Fatalf("unknown benchmark %s", bench)
 	}
-	return Run(cfg, prof, quick())
+	return run(cfg, prof, quick())
 }
 
 func TestRunProducesIntervals(t *testing.T) {
@@ -186,7 +192,7 @@ func TestShortBenchmarkSliceRespected(t *testing.T) {
 	// fma3d runs 30/200 of the standard slice; the run must still produce
 	// a valid (shorter) measurement.
 	prof, _ := workload.ByName("fma3d")
-	r := Run(core.DefaultConfig(), prof, quick())
+	r := run(core.DefaultConfig(), prof, quick())
 	if r.MeasOps == 0 {
 		t.Fatal("no measured ops for short-slice benchmark")
 	}
@@ -199,7 +205,7 @@ func TestShortBenchmarkSliceRespected(t *testing.T) {
 func TestZeroOptionsUseDefaults(t *testing.T) {
 	prof, _ := workload.ByName("eon")
 	prof.LengthScale = 0.05 // keep it quick
-	r := Run(core.DefaultConfig(), prof, Options{})
+	r := run(core.DefaultConfig(), prof, Options{})
 	if r.Temps.Intervals() == 0 {
 		t.Fatal("defaulted options produced no intervals")
 	}

@@ -68,10 +68,10 @@ type Server struct {
 	partial bool
 	// flight single-flights concurrent identical requests on the
 	// canonical key: the simulation runs once, every concurrent caller
-	// shares the marshalled response.  Suite entries route through the
+	// shares the stored response.  Suite entries route through the
 	// same group, so a suite entry and a plain simulation of the same
 	// request also coalesce.
-	flight singleflight.Group[[]byte]
+	flight singleflight.Group[*frontendsim.Stored]
 	// coalesced counts requests served by joining another caller's
 	// in-flight simulation (reported by /v1/cache/stats).
 	coalesced atomic.Uint64
@@ -372,25 +372,29 @@ func (s *Server) decodeSuite(w http.ResponseWriter, r *http.Request) (frontendsi
 	return suite, suite.Validate()
 }
 
-// simulate produces the marshalled response for one canonical request:
+// simulate produces the stored response for one canonical request:
 // from the response store when present, by joining an identical
 // in-flight simulation when one exists, and by running the simulation
 // otherwise.  source reports which path served the body: "HIT",
-// "COALESCED" or "MISS".  Store failures are served around: a Get error
-// falls through to the engine, a Set error only costs the next request
-// a recompute (both are visible in the store's error counters).
-func (s *Server) simulate(ctx context.Context, key string, req frontendsim.Request) (body []byte, source string, err error) {
+// "COALESCED" or "MISS".  A stored body is checked once, by
+// frontendsim.ParseStored, as it leaves the store; one that does not
+// parse is an internal fault (500, so the scheduler fails over).  Store
+// failures are served around: a Get error falls through to the engine,
+// a Set error only costs the next request a recompute (both are visible
+// in the store's error counters).
+func (s *Server) simulate(ctx context.Context, key string, req frontendsim.Request) (st *frontendsim.Stored, source string, err error) {
 	if body, ok, _ := s.store.Get(ctx, key); ok {
-		return body, "HIT", nil
+		st, err := parseEntry(body)
+		return st, "HIT", err
 	}
-	body, err, shared := s.flight.Do(ctx, key, func(runCtx context.Context) ([]byte, error) {
+	st, err, shared := s.flight.Do(ctx, key, func(runCtx context.Context) (*frontendsim.Stored, error) {
 		// Re-check the store: a caller that raced a just-completed
 		// identical run starts a fresh execution (the flight entry is
 		// gone) but its response is already stored.  The Peek keeps the
 		// re-check invisible in the stats (the top-level Get above
 		// already counted this request as a miss, and it reports MISS).
 		if body, ok, _ := resultstore.Peek(runCtx, s.store, key); ok {
-			return body, nil
+			return parseEntry(body)
 		}
 		if err := s.acquire(runCtx); err != nil {
 			return nil, err
@@ -400,28 +404,31 @@ func (s *Server) simulate(ctx context.Context, key string, req frontendsim.Reque
 		if err != nil {
 			return nil, err
 		}
-		b, err := json.Marshal(res)
+		st, err := frontendsim.EncodeStored(res)
 		if err != nil {
 			return nil, err
 		}
-		b = append(b, '\n')
-		s.store.Set(runCtx, key, b)
-		return b, nil
+		s.store.Set(runCtx, key, st.Bytes())
+		return st, nil
 	})
 	if err != nil {
 		return nil, "", err
 	}
 	if shared {
 		s.coalesced.Add(1)
-		return body, "COALESCED", nil
+		return st, "COALESCED", nil
 	}
-	return body, "MISS", nil
+	return st, "MISS", nil
 }
 
-// errCorruptEntry answers a stored body that is not JSON.  It carries the
-// suite path's "decode cached result" text and, like it, maps to 500, so
-// the scheduler fails over instead of forwarding garbage with a 200.
-var errCorruptEntry = errors.New("simd: decode cached result: stored body is not valid JSON")
+// parseEntry checks a body read from the response store.
+func parseEntry(body []byte) (*frontendsim.Stored, error) {
+	st, err := frontendsim.ParseStored(body)
+	if err != nil {
+		return nil, fmt.Errorf("simd: decode cached result: %w", err)
+	}
+	return st, nil
+}
 
 // handleSimulate runs one simulation, serving repeats of the same
 // canonical request from the response store and single-flighting
@@ -439,51 +446,34 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestContext(r)
 	defer cancel()
-	body, source, err := s.simulate(ctx, key, req)
-	if err == nil && !json.Valid(body) {
-		err = errCorruptEntry
-	}
+	st, source, err := s.simulate(ctx, key, req)
 	if err != nil {
 		writeRunError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", source)
-	w.Write(body)
+	w.Write(st.Bytes())
 }
 
-// dispatchSource adapts simulate to the frontendsim.SourcedDispatcher
+// dispatchSource adapts simulate to the frontendsim.StoredDispatcher
 // signature for suite runs: each suite shard flows through the same
 // cache and single-flight group as a plain simulation, so suites and
 // concurrent single requests de-duplicate against each other too.
-func (s *Server) dispatchSource(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, string, error) {
+func (s *Server) dispatchSource(ctx context.Context, req frontendsim.Request) (*frontendsim.Stored, string, error) {
 	key, err := s.eng.RequestKey(req)
 	if err != nil {
 		return nil, "", err
 	}
-	body, source, err := s.simulate(ctx, key, req)
-	if err != nil {
-		return nil, "", err
-	}
-	var res frontendsim.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		return nil, "", fmt.Errorf("simd: decode cached result: %w", err)
-	}
-	return &res, source, nil
-}
-
-// dispatch is dispatchSource without the source, the plain
-// frontendsim.Dispatcher of the blocking suite endpoint.
-func (s *Server) dispatch(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, error) {
-	res, _, err := s.dispatchSource(ctx, req)
-	return res, err
+	return s.simulate(ctx, key, req)
 }
 
 // handleSuite runs a whole benchmark suite in-process (single-node mode
 // of the /v1/suites API that cmd/simsched serves across a backend ring)
-// and responds with the deterministic frontendsim.SuiteResult.  With
-// WithPartialResults, shard failures degrade to `errors` entries and
-// X-Cache: PARTIAL-ERROR instead of failing the suite.
+// and responds with the deterministic frontendsim.SuiteResult, spliced
+// from the stored results.  With WithPartialResults, shard failures
+// degrade to `errors` entries and X-Cache: PARTIAL-ERROR instead of
+// failing the suite.
 func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	suite, err := s.decodeSuite(w, r)
 	if err != nil {
@@ -492,12 +482,12 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestContext(r)
 	defer cancel()
-	var res *frontendsim.SuiteResult
-	if s.partial {
-		res, err = s.eng.RunSuitePartial(ctx, suite, s.dispatchSource, nil)
-	} else {
-		res, err = s.eng.RunSuiteVia(ctx, suite, s.dispatch)
+	res, err := s.eng.RunSuiteStored(ctx, suite, s.dispatchSource, nil, s.partial)
+	if err != nil {
+		writeRunError(w, err)
+		return
 	}
+	body, err := res.AppendJSON(nil)
 	if err != nil {
 		writeRunError(w, err)
 		return
@@ -506,7 +496,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	if len(res.Errors) > 0 {
 		w.Header().Set("X-Cache", "PARTIAL-ERROR")
 	}
-	json.NewEncoder(w).Encode(res)
+	w.Write(append(body, '\n'))
 }
 
 // handleSuiteStream is handleSuite with NDJSON shard streaming: one
@@ -526,53 +516,13 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the committed 200 to the wire now: the first shard may
-		// be arbitrarily slow, and a client must be able to observe
-		// (and abandon) the stream before any line arrives.
-		flusher.Flush()
+	var flush func()
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
 	}
-	enc := json.NewEncoder(w)
-	emit := func(line frontendsim.SuiteStreamLine) {
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	sink := func(sh frontendsim.ShardResult) { emit(shardLine(sh)) }
-	var res *frontendsim.SuiteResult
-	if s.partial {
-		res, err = s.eng.RunSuitePartial(ctx, suite, s.dispatchSource, sink)
-	} else {
-		res, err = s.eng.RunSuiteStream(ctx, suite, s.dispatchSource, sink)
-	}
-	if err != nil {
-		emit(frontendsim.SuiteStreamLine{Type: "error", Error: err.Error()})
-		return
-	}
-	emit(frontendsim.SuiteStreamLine{Type: "aggregate", Suite: res})
-}
-
-// shardLine renders one sink emission as its NDJSON line: a completed
-// shard as {"type":"shard"}, a failed shard of a partial run as
-// {"type":"shard-error"}.
-func shardLine(sh frontendsim.ShardResult) frontendsim.SuiteStreamLine {
-	if sh.Err != "" {
-		return frontendsim.SuiteStreamLine{
-			Type:      "shard-error",
-			Positions: sh.Positions,
-			Benchmark: sh.Benchmark,
-			Error:     sh.Err,
-		}
-	}
-	return frontendsim.SuiteStreamLine{
-		Type:      "shard",
-		Positions: sh.Positions,
-		Benchmark: sh.Benchmark,
-		Source:    sh.Source,
-		Result:    sh.Result,
-	}
+	frontendsim.WriteSuiteStream(w, flush, func(sink frontendsim.StoredSink) (*frontendsim.StoredSuite, error) {
+		return s.eng.RunSuiteStored(ctx, suite, s.dispatchSource, sink, s.partial)
+	})
 }
 
 // streamLine is one NDJSON line of the streaming endpoint.

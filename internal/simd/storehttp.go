@@ -11,6 +11,7 @@ import (
 	"strconv"
 
 	"repro/internal/hashring"
+	"repro/pkg/frontendsim"
 	"repro/pkg/resultstore"
 )
 
@@ -190,8 +191,13 @@ func (s *Server) handleStoreGetEntry(w http.ResponseWriter, r *http.Request) {
 
 // handleStorePutEntry writes one entry into the store, verbatim, so a
 // reseeded entry serves byte-identical to the original computation.
-// Repair pulls do not come through here (the puller Sets its own
-// store); this is the operator's reseeding path.
+// The body must be a Result's canonical stored form
+// (frontendsim.CheckCanonical): suite responses splice stored bytes
+// as-is, so a pretty-printed or otherwise re-spelled entry would break
+// byte identity across paths and, through its raw newlines, the NDJSON
+// stream framing.  Anything else is refused with 400.  Repair pulls do
+// not come through here (the puller Sets its own store); this is the
+// operator's reseeding path.
 func (s *Server) handleStorePutEntry(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if err := storeKeyError(key); err != nil {
@@ -204,8 +210,8 @@ func (s *Server) handleStorePutEntry(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), err)
 		return
 	}
-	if len(body) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("simd: empty store entry body"))
+	if err := frontendsim.CheckCanonical(body); err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("simd: store entry: %w", err))
 		return
 	}
 	if err := s.store.Set(r.Context(), key, body); err != nil {

@@ -41,9 +41,20 @@ func storeServer(t *testing.T) (*Server, resultstore.Store) {
 	return NewServerWithStore(eng, store), store
 }
 
+// canonicalEntry is res in its stored form, the only body PUT
+// /v1/store/entries accepts.
+func canonicalEntry(t *testing.T, res frontendsim.Result) string {
+	t.Helper()
+	b, err := json.Marshal(&res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b) + "\n"
+}
+
 func TestStoreEntryPutGetRoundTrip(t *testing.T) {
 	srv, _ := storeServer(t)
-	body := `{"benchmark":"gzip","meas_cycles":123}` + "\n"
+	body := canonicalEntry(t, frontendsim.Result{Benchmark: "gzip", MeasCycles: 123})
 	if w := put(t, srv, "/v1/store/entries/key-1", body); w.Code != http.StatusNoContent {
 		t.Fatalf("PUT = %d, body %s", w.Code, w.Body.String())
 	}
@@ -250,10 +261,60 @@ func TestStoreScanEndpointsUnsupported(t *testing.T) {
 	if w := get(t, srv, "/v1/store/digest"); w.Code != http.StatusNotImplemented {
 		t.Errorf("digest = %d, want 501", w.Code)
 	}
-	if w := put(t, srv, "/v1/store/entries/k", `{"v":1}`); w.Code != http.StatusNoContent {
+	entry := canonicalEntry(t, frontendsim.Result{Benchmark: "gzip"})
+	if w := put(t, srv, "/v1/store/entries/k", entry); w.Code != http.StatusNoContent {
 		t.Errorf("PUT = %d, want 204", w.Code)
 	}
-	if w := get(t, srv, "/v1/store/entries/k"); w.Code != http.StatusOK || w.Body.String() != `{"v":1}` {
+	if w := get(t, srv, "/v1/store/entries/k"); w.Code != http.StatusOK || w.Body.String() != entry {
 		t.Errorf("GET = %d %q", w.Code, w.Body.String())
+	}
+}
+
+// TestStorePutRefusesNonCanonical pins the stored-form invariant the
+// suite splice relies on: PUT /v1/store/entries accepts only a Result's
+// canonical stored bytes.  A pretty-printed copy of a real entry (which
+// the store used to take verbatim, breaking byte identity and, through
+// its raw newlines, the NDJSON framing once spliced) is refused with
+// 400, while a GET→PUT round trip still lands.
+func TestStorePutRefusesNonCanonical(t *testing.T) {
+	eng := frontendsim.New(frontendsim.WithWarmupOps(5_000), frontendsim.WithMeasureOps(10_000))
+	srv := NewServer(eng, 16)
+	req := frontendsim.Request{Benchmark: "gzip"}
+	if w := post(t, srv, "/v1/simulations", `{"benchmark":"gzip"}`); w.Code != http.StatusOK {
+		t.Fatalf("simulate = %d", w.Code)
+	}
+	key, err := eng.RequestKey(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := get(t, srv, "/v1/store/entries/"+key)
+	if w.Code != http.StatusOK {
+		t.Fatalf("GET = %d", w.Code)
+	}
+	entry := w.Body.String()
+	if w := put(t, srv, "/v1/store/entries/copy", entry); w.Code != http.StatusNoContent {
+		t.Fatalf("GET→PUT round trip = %d, want 204 (%s)", w.Code, w.Body.String())
+	}
+	if w := get(t, srv, "/v1/store/entries/copy"); w.Body.String() != entry {
+		t.Error("round-tripped entry is not byte-identical")
+	}
+	var res frontendsim.Result
+	if err := json.Unmarshal([]byte(entry), &res); err != nil {
+		t.Fatal(err)
+	}
+	pretty, _ := json.MarshalIndent(&res, "", "  ")
+	for name, body := range map[string]string{
+		"pretty-printed":  string(pretty) + "\n",
+		"no newline":      strings.TrimSuffix(entry, "\n"),
+		"unknown field":   strings.TrimSuffix(entry, "}\n") + `,"extra":1}` + "\n",
+		"not a result":    `{"v":1}` + "\n",
+		"trailing spaces": strings.TrimSuffix(entry, "\n") + "  \n",
+	} {
+		if w := put(t, srv, "/v1/store/entries/bad", body); w.Code != http.StatusBadRequest {
+			t.Errorf("%s: PUT = %d, want 400", name, w.Code)
+		}
+	}
+	if w := get(t, srv, "/v1/store/entries/bad"); w.Code != http.StatusNotFound {
+		t.Errorf("a refused PUT was stored: GET = %d", w.Code)
 	}
 }

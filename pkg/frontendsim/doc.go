@@ -21,10 +21,15 @@
 //     of pkg/scheduler all key on it,
 //   - RunSuite: a bounded worker pool that parallelizes a benchmark
 //     sweep with deterministic, order-independent aggregation, de-duped
-//     on the canonical request key, and
+//     on the canonical request key,
 //   - RunSuiteVia: the same suite machinery over a caller-supplied
 //     Dispatcher, so a suite can run against remote backends (see
-//     pkg/scheduler) with an aggregate byte-identical to a local run.
+//     pkg/scheduler) with an aggregate byte-identical to a local run,
+//     and
+//   - the stored form results travel in through the serving plane:
+//     Stored holds a result's newline-terminated JSON, ParseStored
+//     checks it once where it enters a process, and RunSuiteStored
+//     splices results into suite responses without decoding them.
 //
 // The zero-cost entry point for a single paper-style run:
 //

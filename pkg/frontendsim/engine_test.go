@@ -30,10 +30,13 @@ func TestRunMatchesSimRun(t *testing.T) {
 	prof, _ := workload.ByName("gzip")
 	opt := sim.DefaultOptions()
 	opt.WarmupOps, opt.MeasureOps = 30_000, 60_000
-	want := sim.Run(core.DefaultConfig().WithBankHopping(), prof, opt)
+	want, err := sim.RunHooked(core.DefaultConfig().WithBankHopping(), prof, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if res.MeasCycles != want.MeasCycles || res.MeasOps != want.MeasOps {
-		t.Errorf("engine run (%d cycles, %d ops) != sim.Run (%d cycles, %d ops)",
+		t.Errorf("engine run (%d cycles, %d ops) != sim.RunHooked (%d cycles, %d ops)",
 			res.MeasCycles, res.MeasOps, want.MeasCycles, want.MeasOps)
 	}
 	if res.IPC != want.IPC() {

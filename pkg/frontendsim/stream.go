@@ -12,10 +12,16 @@ import (
 // "MISS"); an empty string means the dispatcher does not say.
 type SourcedDispatcher func(ctx context.Context, req Request) (*Result, string, error)
 
-// ShardResult is one completed shard of a streamed suite run: the
-// dispatched result plus where in the suite it belongs and how it was
-// served.
-type ShardResult struct {
+// StoredDispatcher is a SourcedDispatcher that hands back the result in
+// its stored form (the serving plane's suite endpoints, which splice the
+// bytes instead of decoding them).
+type StoredDispatcher func(ctx context.Context, req Request) (*Stored, string, error)
+
+// Shard is one completed shard of a streamed suite run: the dispatched
+// result plus where in the suite it belongs and how it was served.  The
+// result is a decoded *Result (ShardResult) or its stored bytes
+// (StoredShard).
+type Shard[T any] struct {
 	// Positions are the suite indices sharing this shard's canonical
 	// key, ascending (duplicate suite entries dispatch once and share
 	// the result).  The slice is owned by the engine; don't mutate it.
@@ -27,11 +33,17 @@ type ShardResult struct {
 	Source string `json:"source,omitempty"`
 	// Result is the shard's result, shared by every position.  Nil when
 	// Err is set.
-	Result *Result `json:"result"`
+	Result T `json:"result"`
 	// Err is the shard's dispatch error, set only in partial-results
 	// runs (RunSuitePartial) when the shard failed; Result is nil.
 	Err string `json:"error,omitempty"`
 }
+
+// ShardResult is a completed shard with its decoded Result.
+type ShardResult = Shard[*Result]
+
+// StoredShard is a completed shard with its result in stored form.
+type StoredShard = Shard[*Stored]
 
 // StreamSink receives each completed shard of RunSuiteStream the moment
 // it lands.  Calls are serialized by the engine (never concurrent), in
@@ -39,6 +51,9 @@ type ShardResult struct {
 // their suite position.  The sink must not block longer than the caller
 // can afford: it runs on the suite's worker goroutines.
 type StreamSink func(ShardResult)
+
+// StoredSink is the StreamSink of RunSuiteStored.
+type StoredSink func(StoredShard)
 
 // SuiteStreamLine is one NDJSON line of the POST /v1/suites/stream
 // endpoints (internal/simd single-node, pkg/scheduler ring fan-in).
@@ -70,29 +85,58 @@ type SuiteStreamLine struct {
 // changes when results become visible, never what they are.  A nil sink
 // degrades to RunSuiteVia with a sourced dispatcher.
 func (e *Engine) RunSuiteStream(ctx context.Context, suite SuiteRequest, dispatch SourcedDispatcher, sink StreamSink) (*SuiteResult, error) {
-	return e.runSuite(ctx, suite, dispatch, sink, false)
+	return newSuiteResult(runSuite(ctx, e, suite, dispatch, sink, false))
 }
 
-// runSuite is the shared suite executor behind RunSuiteVia and
-// RunSuiteStream: a bounded worker pool (Engine.Workers wide) over the
-// deduplicated shards, results landing in a slice indexed by suite
-// position and folded in that order, so the aggregate is byte-identical
-// whatever the completion order — and identical to a Workers==1 serial
-// run.  The first error (including context cancellation) aborts the
-// remaining work — unless partial is set, in which case dispatch
-// failures are recorded per shard (emitted to sink with Err set) and
-// the rest of the suite runs to completion; only context cancellation
-// still aborts.
-func (e *Engine) runSuite(ctx context.Context, suite SuiteRequest, dispatch SourcedDispatcher, sink StreamSink, partial bool) (*SuiteResult, error) {
-	if err := suite.Validate(); err != nil {
+// RunSuiteStored is the suite executor over stored results: the same
+// sharding, worker pool and aggregation as RunSuiteStream (RunSuitePartial
+// when partial is set), with each shard's result kept as the bytes
+// dispatch returned.  Rendered with AppendJSON, the StoredSuite is
+// byte-identical to the JSON of the SuiteResult RunSuiteStream would
+// return over the decoded results.
+func (e *Engine) RunSuiteStored(ctx context.Context, suite SuiteRequest, dispatch StoredDispatcher, sink StoredSink, partial bool) (*StoredSuite, error) {
+	results, errs, err := runSuite(ctx, e, suite, dispatch, sink, partial)
+	if err != nil {
 		return nil, err
+	}
+	return &StoredSuite{Results: results, Errors: errs, Aggregate: aggregate(results)}, nil
+}
+
+// newSuiteResult assembles runSuite's outcome over decoded results.
+func newSuiteResult(results []*Result, errs []ShardError, err error) (*SuiteResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &SuiteResult{Results: results, Errors: errs, Aggregate: aggregate(results)}, nil
+}
+
+// shardValue is a per-shard result a suite run collects: a decoded
+// *Result or a *Stored.  fields reports what aggregate folds (false for
+// a nil value, the failed position of a partial run).
+type shardValue interface {
+	fields() (summary, bool)
+}
+
+// runSuite is the one suite executor behind RunSuiteVia, RunSuiteStream,
+// RunSuitePartial and RunSuiteStored: a bounded worker pool
+// (Engine.Workers wide) over the deduplicated shards, results landing in
+// a slice indexed by suite position, so the caller's aggregate folds
+// them in suite order whatever the completion order — identical to a
+// Workers==1 serial run.  The first error (including context
+// cancellation) aborts the remaining work — unless partial is set, in
+// which case dispatch failures are recorded per shard (emitted to sink
+// with Err set) and the rest of the suite runs to completion; only
+// context cancellation still aborts.
+func runSuite[T shardValue](ctx context.Context, e *Engine, suite SuiteRequest, dispatch func(context.Context, Request) (T, string, error), sink func(Shard[T]), partial bool) ([]T, []ShardError, error) {
+	if err := suite.Validate(); err != nil {
+		return nil, nil, err
 	}
 	reqs := suite.Requests()
 	shards, err := e.shardByKey(reqs)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	results := make([]*Result, len(reqs))
+	results := make([]T, len(reqs))
 	// shardErrs[i] is shard i's dispatch error in partial mode; each
 	// shard is owned by exactly one worker, so the slots race-free.
 	shardErrs := make([]error, len(shards))
@@ -135,7 +179,7 @@ func (e *Engine) runSuite(ctx context.Context, suite SuiteRequest, dispatch Sour
 					shardErrs[i] = err
 					if sink != nil {
 						emitMu.Lock()
-						sink(ShardResult{
+						sink(Shard[T]{
 							Positions: positions,
 							Benchmark: reqs[positions[0]].Benchmark,
 							Err:       err.Error(),
@@ -149,7 +193,7 @@ func (e *Engine) runSuite(ctx context.Context, suite SuiteRequest, dispatch Sour
 				}
 				if sink != nil {
 					emitMu.Lock()
-					sink(ShardResult{
+					sink(Shard[T]{
 						Positions: positions,
 						Benchmark: reqs[positions[0]].Benchmark,
 						Source:    source,
@@ -171,10 +215,10 @@ feed:
 	close(jobs)
 	wg.Wait()
 	if firstErr != nil {
-		return nil, firstErr
+		return nil, nil, firstErr
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var shardErrors []ShardError
 	if partial {
@@ -193,8 +237,8 @@ feed:
 		}
 		if failed == len(shards) && len(shards) > 0 {
 			// Every shard failed: there is nothing to degrade to.
-			return nil, fmt.Errorf("frontendsim: all %d suite shards failed: %w", len(shards), shardErrs[0])
+			return nil, nil, fmt.Errorf("frontendsim: all %d suite shards failed: %w", len(shards), shardErrs[0])
 		}
 	}
-	return &SuiteResult{Results: results, Errors: shardErrors, Aggregate: aggregate(results)}, nil
+	return results, shardErrors, nil
 }

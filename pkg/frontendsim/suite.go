@@ -141,10 +141,10 @@ func (e *Engine) shardByKey(reqs []Request) ([][]int, error) {
 // RunSuiteVia answers only on completion; RunSuiteStream is the same
 // machinery with per-shard emission as results land.
 func (e *Engine) RunSuiteVia(ctx context.Context, suite SuiteRequest, dispatch Dispatcher) (*SuiteResult, error) {
-	return e.runSuite(ctx, suite, func(ctx context.Context, req Request) (*Result, string, error) {
+	return e.RunSuiteStream(ctx, suite, func(ctx context.Context, req Request) (*Result, string, error) {
 		res, err := dispatch(ctx, req)
 		return res, "", err
-	}, nil, false)
+	}, nil)
 }
 
 // RunSuitePartial is RunSuiteStream in graceful-degradation mode: a
@@ -161,19 +161,22 @@ func (e *Engine) RunSuiteVia(ctx context.Context, suite SuiteRequest, dispatch D
 // with no failures returns a SuiteResult byte-identical (as JSON) to
 // RunSuiteVia/RunSuiteStream of the same suite.
 func (e *Engine) RunSuitePartial(ctx context.Context, suite SuiteRequest, dispatch SourcedDispatcher, sink StreamSink) (*SuiteResult, error) {
-	return e.runSuite(ctx, suite, dispatch, sink, true)
+	return newSuiteResult(runSuite(ctx, e, suite, dispatch, sink, true))
 }
 
 // aggregate folds results in slice order, skipping nil entries (failed
 // shards of a partial run).  Benchmarks counts the folded results, so a
 // partial aggregate's means stay means over what actually completed.
-func aggregate(results []*Result) SuiteAggregate {
+// Decoded and stored results fold the same values (floats survive the
+// JSON round trip exactly), so both aggregate bit-identically.
+func aggregate[T shardValue](results []T) SuiteAggregate {
 	agg := SuiteAggregate{
 		Units: map[string]metrics.Triple{},
 	}
 	sums := map[string]metrics.Triple{}
-	for _, r := range results {
-		if r == nil {
+	for _, v := range results {
+		r, ok := v.fields()
+		if !ok {
 			continue
 		}
 		agg.Benchmarks++

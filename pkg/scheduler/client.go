@@ -48,9 +48,12 @@ func NewClient(hc *http.Client) *Client {
 	return &Client{hc: hc}
 }
 
-// Simulate posts req to node's POST /v1/simulations and decodes the
-// result.  Cancellation of ctx aborts the in-flight HTTP request.
-func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Request) (*frontendsim.Result, error) {
+// Simulate posts req to node's POST /v1/simulations and returns the
+// result in its stored form: the response body, checked by
+// frontendsim.ParseStored.  A body that does not parse is a retryable
+// failure (another backend may serve it intact).  Cancellation of ctx
+// aborts the in-flight HTTP request.
+func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Request) (*frontendsim.Stored, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, fmt.Errorf("scheduler: marshal request: %w", err)
@@ -75,14 +78,15 @@ func (c *Client) Simulate(ctx context.Context, node string, req frontendsim.Requ
 	if resp.StatusCode != http.StatusOK {
 		return nil, &BackendError{Node: node, Status: resp.StatusCode, Msg: backendMessage(resp.Body)}
 	}
-	var res frontendsim.Result
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("scheduler: backend %s: read result: %w", node, err)
+	}
+	st, err := frontendsim.ParseStored(raw)
+	if err != nil {
 		return nil, fmt.Errorf("scheduler: backend %s: decode result: %w", node, err)
 	}
-	// Drain the trailing newline so the keep-alive connection returns to
-	// the pool instead of being torn down.
-	io.Copy(io.Discard, resp.Body)
-	return &res, nil
+	return st, nil
 }
 
 // backendMessage extracts the error string from simd's JSON envelope,

@@ -85,14 +85,14 @@ func rearmTimer(t *time.Timer, d time.Duration) {
 // Failures behave exactly like the sequential walk — a retryable error
 // moves on to the next node (counted as Retried), a permanent error or
 // the caller's cancellation aborts everything.
-func (s *Scheduler) dispatchHedged(ctx context.Context, nodes []string, req frontendsim.Request) (*frontendsim.Result, error) {
+func (s *Scheduler) dispatchHedged(ctx context.Context, nodes []string, req frontendsim.Request) (*frontendsim.Stored, error) {
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // reap every losing attempt on return
 
 	type attempt struct {
 		idx    int
 		hedged bool
-		res    *frontendsim.Result
+		res    *frontendsim.Stored
 		err    error
 		took   time.Duration
 	}

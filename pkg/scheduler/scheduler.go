@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -170,10 +169,10 @@ type Scheduler struct {
 	repairErrs   atomic.Uint64
 }
 
-// outcome is one single-flighted dispatch's result plus whether the
-// scheduler-tier store served it.
+// outcome is one single-flighted dispatch's result, in stored form,
+// plus whether the scheduler-tier store served it.
 type outcome struct {
-	res    *frontendsim.Result
+	st     *frontendsim.Stored
 	cached bool
 }
 
@@ -449,22 +448,19 @@ func (s *Scheduler) RunSuiteServed(ctx context.Context, suite frontendsim.SuiteR
 // it as a {"type":"shard-error"} line), counted in Served.Failed, and
 // the suite completes with per-shard error entries — one dead shard no
 // longer fails an otherwise-servable sweep.
+//
+// Results travel as stored bytes through the stack and are decoded here,
+// once per unique shard; the HTTP server splices the bytes instead.
 func (s *Scheduler) RunSuiteStream(ctx context.Context, suite frontendsim.SuiteRequest, sink frontendsim.StreamSink) (*frontendsim.SuiteResult, Served, error) {
-	var cached, dispatched, coalesced atomic.Uint64
+	var t tally
+	stored := t.dispatcher(s)
 	dispatch := func(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, string, error) {
-		r, src, err := s.DispatchSource(ctx, req)
+		st, src, err := stored(ctx, req)
 		if err != nil {
 			return nil, "", err
 		}
-		switch src {
-		case SourceCached:
-			cached.Add(1)
-		case SourceCoalesced:
-			coalesced.Add(1)
-		default:
-			dispatched.Add(1)
-		}
-		return r, src.String(), nil
+		res, err := st.Decode()
+		return res, src, err
 	}
 	var res *frontendsim.SuiteResult
 	var err error
@@ -473,19 +469,59 @@ func (s *Scheduler) RunSuiteStream(ctx context.Context, suite frontendsim.SuiteR
 	} else {
 		res, err = s.eng.RunSuiteStream(ctx, suite, dispatch, sink)
 	}
-	served := Served{
-		Cached:     cached.Load(),
-		Dispatched: dispatched.Load(),
-		Coalesced:  coalesced.Load(),
+	if res == nil {
+		return nil, t.served(nil), err
 	}
-	if res != nil {
-		// Count only the failures that made it into the degraded result:
-		// in strict mode a failure aborts the run (the error is the
-		// answer), and a cancelled partial run must not report
-		// PARTIAL-ERROR accounting for a response that never formed.
-		served.Failed = uint64(len(res.Errors))
+	return res, t.served(res.Errors), err
+}
+
+// runSuiteStored is RunSuiteStream with the results left in stored form,
+// for the server's suite endpoints to splice.
+func (s *Scheduler) runSuiteStored(ctx context.Context, suite frontendsim.SuiteRequest, sink frontendsim.StoredSink) (*frontendsim.StoredSuite, Served, error) {
+	var t tally
+	res, err := s.eng.RunSuiteStored(ctx, suite, t.dispatcher(s), sink, s.partial)
+	if res == nil {
+		return nil, t.served(nil), err
 	}
-	return res, served, err
+	return res, t.served(res.Errors), err
+}
+
+// tally counts how one suite's unique shards were served.
+type tally struct {
+	cached, dispatched, coalesced atomic.Uint64
+}
+
+// dispatcher is the suite's stored dispatcher: the scheduler's full
+// stack, counting each served shard's source.
+func (t *tally) dispatcher(s *Scheduler) frontendsim.StoredDispatcher {
+	return func(ctx context.Context, req frontendsim.Request) (*frontendsim.Stored, string, error) {
+		st, src, err := s.dispatchStored(ctx, req)
+		if err != nil {
+			return nil, "", err
+		}
+		switch src {
+		case SourceCached:
+			t.cached.Add(1)
+		case SourceCoalesced:
+			t.coalesced.Add(1)
+		default:
+			t.dispatched.Add(1)
+		}
+		return st, src.String(), nil
+	}
+}
+
+// served is the suite's breakdown.  Only the failures that made it into
+// a degraded result count: in strict mode a failure aborts the run (the
+// error is the answer), and a cancelled partial run must not report
+// PARTIAL-ERROR accounting for a response that never formed.
+func (t *tally) served(failed []frontendsim.ShardError) Served {
+	return Served{
+		Cached:     t.cached.Load(),
+		Dispatched: t.dispatched.Load(),
+		Coalesced:  t.coalesced.Load(),
+		Failed:     uint64(len(failed)),
+	}
 }
 
 // Dispatch ships one request to its home backend, walking the ring on
@@ -502,21 +538,37 @@ func (s *Scheduler) Dispatch(ctx context.Context, req frontendsim.Request) (*fro
 // single-flight group stays in front of the store: concurrent identical
 // requests resolve to one store lookup and (on a miss) one backend
 // dispatch, whose result is written back to the store.
+//
+// The result is decoded from the stored bytes the store or the backend
+// answered with; the HTTP server serves those bytes verbatim instead.
 func (s *Scheduler) DispatchSource(ctx context.Context, req frontendsim.Request) (*frontendsim.Result, Source, error) {
+	st, src, err := s.dispatchStored(ctx, req)
+	if err != nil {
+		return nil, src, err
+	}
+	res, err := st.Decode()
+	if err != nil {
+		return nil, src, err
+	}
+	return res, src, nil
+}
+
+// dispatchStored is DispatchSource with the result in stored form.
+func (s *Scheduler) dispatchStored(ctx context.Context, req frontendsim.Request) (*frontendsim.Stored, Source, error) {
 	key, err := s.eng.RequestKey(req)
 	if err != nil {
 		return nil, SourceDispatched, err
 	}
 	out, err, shared := s.flight.Do(ctx, key, func(runCtx context.Context) (outcome, error) {
-		if res := s.cacheGet(runCtx, key); res != nil {
-			return outcome{res: res, cached: true}, nil
+		if st := s.cacheGet(runCtx, key); st != nil {
+			return outcome{st: st, cached: true}, nil
 		}
-		res, err := s.dispatchKey(runCtx, key, req)
+		st, err := s.dispatchKey(runCtx, key, req)
 		if err != nil {
 			return outcome{}, err
 		}
-		s.cacheSet(runCtx, key, res)
-		return outcome{res: res}, nil
+		s.cacheSet(runCtx, key, st)
+		return outcome{st: st}, nil
 	})
 	if err != nil {
 		// A joined execution that failed served nobody: the caller was
@@ -537,18 +589,18 @@ func (s *Scheduler) DispatchSource(ctx context.Context, req frontendsim.Request)
 	switch {
 	case out.cached:
 		s.cacheHits.Add(1)
-		return out.res, SourceCached, nil
+		return out.st, SourceCached, nil
 	case shared:
 		s.coalesced.Add(1)
-		return out.res, SourceCoalesced, nil
+		return out.st, SourceCoalesced, nil
 	}
-	return out.res, SourceDispatched, nil
+	return out.st, SourceDispatched, nil
 }
 
 // cacheGet reads one result from the scheduler-tier store; any failure
-// (store error, undecodable entry) is a miss — the ring can always
-// recompute.
-func (s *Scheduler) cacheGet(ctx context.Context, key string) *frontendsim.Result {
+// (store error, an entry ParseStored refuses) is a miss — the ring can
+// always recompute.
+func (s *Scheduler) cacheGet(ctx context.Context, key string) *frontendsim.Stored {
 	if s.cache == nil {
 		return nil
 	}
@@ -556,27 +608,22 @@ func (s *Scheduler) cacheGet(ctx context.Context, key string) *frontendsim.Resul
 	if err != nil || !ok {
 		return nil
 	}
-	var res frontendsim.Result
-	if json.Unmarshal(body, &res) != nil {
+	st, err := frontendsim.ParseStored(body)
+	if err != nil {
 		return nil
 	}
-	return &res
+	return st
 }
 
 // cacheSet writes one dispatched result back to the scheduler-tier
 // store, best-effort: a store failure only costs a later recompute.
-// The entry is the backend's stored form, newline-terminated JSON, so a
-// store shared with simd (-store remote) serves the same bytes from
-// either tier.
-func (s *Scheduler) cacheSet(ctx context.Context, key string, res *frontendsim.Result) {
+// The entry is the backend's stored bytes, verbatim, so a store shared
+// with simd (-store remote) serves the same bytes from either tier.
+func (s *Scheduler) cacheSet(ctx context.Context, key string, st *frontendsim.Stored) {
 	if s.cache == nil {
 		return
 	}
-	body, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	s.cache.Set(ctx, key, append(body, '\n'))
+	s.cache.Set(ctx, key, st.Bytes())
 }
 
 // attempts resolves the Config.Retries semantics against the current
@@ -619,7 +666,7 @@ func permanent(ctx context.Context, err error) bool {
 // jittered backoff.  With hedging enabled, a slow first attempt
 // additionally fires a speculative attempt to the next ring node
 // (dispatchHedged).
-func (s *Scheduler) dispatchKey(ctx context.Context, key string, req frontendsim.Request) (*frontendsim.Result, error) {
+func (s *Scheduler) dispatchKey(ctx context.Context, key string, req frontendsim.Request) (*frontendsim.Stored, error) {
 	s.dispatched.Add(1)
 	nodes := s.Ring().Sequence(key)
 	attempts := s.attempts(len(nodes))

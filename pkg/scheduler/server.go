@@ -204,14 +204,19 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestContext(r)
 	defer cancel()
-	res, served, err := s.sched.RunSuiteServed(ctx, suite)
+	res, served, err := s.sched.runSuiteStored(ctx, suite, nil)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
+	body, err := res.AppendJSON(nil)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", served.XCache())
-	json.NewEncoder(w).Encode(res)
+	w.Write(append(body, '\n'))
 }
 
 // handleSuiteStream is handleSuite with incremental delivery: NDJSON,
@@ -234,47 +239,16 @@ func (s *Server) handleSuiteStream(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Push the committed 200 to the wire now: the first shard may
-		// be arbitrarily slow, and a client must be able to observe
-		// (and abandon) the stream before any line arrives.
-		flusher.Flush()
-	}
-	enc := json.NewEncoder(w)
-	emit := func(line frontendsim.SuiteStreamLine) {
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
+	var flush func()
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
 	}
 	ctx, cancel := requestContext(r)
 	defer cancel()
-	res, _, err := s.sched.RunSuiteStream(ctx, suite, func(sh frontendsim.ShardResult) {
-		if sh.Err != "" {
-			// A failed shard of a partial-results run: the stream keeps
-			// going and the terminal aggregate excludes this shard.
-			emit(frontendsim.SuiteStreamLine{
-				Type:      "shard-error",
-				Positions: sh.Positions,
-				Benchmark: sh.Benchmark,
-				Error:     sh.Err,
-			})
-			return
-		}
-		emit(frontendsim.SuiteStreamLine{
-			Type:      "shard",
-			Positions: sh.Positions,
-			Benchmark: sh.Benchmark,
-			Source:    sh.Source,
-			Result:    sh.Result,
-		})
+	frontendsim.WriteSuiteStream(w, flush, func(sink frontendsim.StoredSink) (*frontendsim.StoredSuite, error) {
+		res, _, err := s.sched.runSuiteStored(ctx, suite, sink)
+		return res, err
 	})
-	if err != nil {
-		emit(frontendsim.SuiteStreamLine{Type: "error", Error: err.Error()})
-		return
-	}
-	emit(frontendsim.SuiteStreamLine{Type: "aggregate", Suite: res})
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -285,14 +259,14 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestContext(r)
 	defer cancel()
-	res, source, err := s.sched.DispatchSource(ctx, req)
+	st, source, err := s.sched.dispatchStored(ctx, req)
 	if err != nil {
 		writeError(w, statusFor(err), err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", source.String())
-	json.NewEncoder(w).Encode(res)
+	w.Write(st.Bytes())
 }
 
 // handleCacheStats reports the scheduler-tier response store's
